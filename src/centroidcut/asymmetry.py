@@ -17,7 +17,6 @@ sharp bound by rounding.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +24,16 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import RefNotInterior
-from .geometry import Location, Polytope, Vec, as_point, dot, vsub
+from .geometry import (
+    Location,
+    Polytope,
+    Vec,
+    as_point,
+    dot,
+    primitive_direction,
+    seeded_directions,
+    vsub,
+)
 from .slicing import CumulativeEvaluator, _cut_fraction_float
 
 
@@ -137,13 +145,6 @@ class _FloatBody:
         return max(below / above, above / below)
 
 
-def _primitive(vec: tuple[int, ...]) -> tuple[int, ...] | None:
-    g = math.gcd(*(abs(c) for c in vec))
-    if g == 0:
-        return None
-    return tuple(c // g for c in vec)
-
-
 def _unsigned_key(vec: tuple[int, ...]) -> tuple[int, ...]:
     for c in vec:
         if c != 0:
@@ -151,23 +152,18 @@ def _unsigned_key(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec
 
 
-def _integerize(v: Vec) -> tuple[int, ...] | None:
-    mult = math.lcm(*(c.denominator for c in v))
-    return _primitive(tuple(int(c * mult) for c in v))
-
-
 def exact_candidate_directions(poly: Polytope, x: Vec) -> list[tuple[int, ...]]:
     """Facet normals and vertex-difference directions, deduplicated up to sign."""
     out = []
     seen = set()
     for f in poly.facets:
-        d = _primitive(f.normal)
+        d = primitive_direction(f.normal)
         key = _unsigned_key(d)
         if key not in seen:
             seen.add(key)
             out.append(d)
     for v in poly.vertices:
-        d = _integerize(vsub(v, x))
+        d = primitive_direction(vsub(v, x))
         if d is None:
             continue
         key = _unsigned_key(d)
@@ -178,19 +174,16 @@ def exact_candidate_directions(poly: Polytope, x: Vec) -> list[tuple[int, ...]]:
 
 
 def _random_directions(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    rng = random.Random(seed)
+    """The first `count` seeded directions that are distinct up to sign."""
     out = []
     seen = set()
+    stream = seeded_directions(n, seed)
     while len(out) < count:
-        vec = tuple(rng.randint(-997, 997) for _ in range(n))
-        d = _primitive(vec)
-        if d is None:
-            continue
+        d = next(stream)
         key = _unsigned_key(d)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(d)
+        if key not in seen:
+            seen.add(key)
+            out.append(d)
     return out
 
 
@@ -220,9 +213,8 @@ def _rationalize_direction(theta: np.ndarray, max_den: int = 10**6) -> tuple[int
     scale = float(np.max(np.abs(theta)))
     if scale == 0.0 or not np.isfinite(scale):
         return None
-    fracs = [Fraction(float(c / scale)).limit_denominator(max_den) for c in theta]
-    mult = math.lcm(*(f.denominator for f in fracs))
-    return _primitive(tuple(int(f * mult) for f in fracs))
+    return primitive_direction([Fraction(float(c / scale)).limit_denominator(max_den)
+                                for c in theta])
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,21 @@ the pyramid equality cases are tight exactly there.
 from __future__ import annotations
 
 import json
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .asymmetry import SearchConfig, _primitive, rho_centroid
+from .asymmetry import SearchConfig, rho_centroid
 from .errors import BadDelta
 from .feasibility import feasible_point
-from .geometry import Polytope, Vec, as_fraction, as_point, dot, format_fraction
+from .geometry import (
+    Polytope,
+    as_fraction,
+    as_point,
+    dot,
+    format_fraction,
+    primitive_direction,
+    seeded_directions,
+)
 from .slicing import CumulativeEvaluator
 
 
@@ -56,7 +62,7 @@ def cut_depth(poly: Polytope, theta, delta, bits: int = BRACKET_BITS) -> DepthCu
     if not (0 < delta <= Fraction(1, 2)):
         raise BadDelta(f"delta must lie in (0, 1/2], got {delta}")
     ev = CumulativeEvaluator(poly, theta)
-    th = tuple(int(c) for c in _as_int_direction(ev.theta))
+    th = primitive_direction(ev.theta)
     target = (1 - delta) * poly.volume
     lo, hi = ev.lo, ev.hi
     width = hi - lo
@@ -90,14 +96,6 @@ def cut_depth(poly: Polytope, theta, delta, bits: int = BRACKET_BITS) -> DepthCu
         if lo <= cand <= hi and ev.value(cand) == target:
             return DepthCut(theta=th, lo=cand, hi=cand)
     return DepthCut(theta=th, lo=lo, hi=hi)
-
-
-def _as_int_direction(theta: Vec) -> tuple[int, ...]:
-    mult = math.lcm(*(c.denominator for c in theta))
-    prim = _primitive(tuple(int(c * mult) for c in theta))
-    if prim is None:
-        raise ValueError("direction must be nonzero")
-    return prim
 
 
 @dataclass
@@ -150,8 +148,10 @@ def direction_budget(poly: Polytope, n_dirs: int | None, seed: int = 0,
                      mode: str = "auto") -> list[tuple[int, ...]]:
     """Deterministic signed direction set for depth cuts.
 
-    auto: +-axes, +-facet normals, then seeded integer directions up to the
-    budget; axes / facets restrict to those families.
+    auto: +-axes, +-facet normals, then seeded integer directions until the
+    set has n_dirs members.  The budget is a floor, not a cap: axes and facet
+    normals are always kept, so a body with many facets gets more than n_dirs
+    directions.  axes / facets restrict to those families.
     """
     n = poly.dim
     if mode == "axes":
@@ -161,7 +161,7 @@ def direction_budget(poly: Polytope, n_dirs: int | None, seed: int = 0,
         # is where the pyramid equality cases are tight at the centroid
         out, seen = [], set()
         for f in poly.facets:
-            d = _primitive(tuple(-c for c in f.normal))
+            d = primitive_direction([-c for c in f.normal])
             if d not in seen:
                 seen.add(d)
                 out.append(d)
@@ -172,17 +172,16 @@ def direction_budget(poly: Polytope, n_dirs: int | None, seed: int = 0,
             seen.add(d)
             out.append(d)
     for f in poly.facets:
-        for d in (_primitive(f.normal), _primitive(tuple(-c for c in f.normal))):
+        for d in (primitive_direction(f.normal), primitive_direction([-c for c in f.normal])):
             if d not in seen:
                 seen.add(d)
                 out.append(d)
     if n_dirs is not None:
         # axes and facet normals are never dropped; randoms fill up to the budget
-        rng = random.Random(seed)
+        stream = seeded_directions(n, seed)
         while len(out) < n_dirs:
-            vec = tuple(rng.randint(-997, 997) for _ in range(n))
-            d = _primitive(vec)
-            if d is None or d in seen:
+            d = next(stream)
+            if d in seen:
                 continue
             seen.add(d)
             out.append(d)
@@ -194,8 +193,8 @@ def floating_body_approx(poly: Polytope, delta, n_dirs: int | None = None,
     """Outer approximation of K^delta from a finite direction budget.
 
     `directions` may be an explicit list of vectors or a mode string
-    ('auto', 'axes', 'facets'); otherwise the auto budget of size
-    n_dirs >= 2n is used.
+    ('auto', 'axes', 'facets'); otherwise the auto set is used, with
+    n_dirs >= 2n as its floor (see :func:`direction_budget`).
     """
     delta = as_fraction(delta)
     if not (0 < delta <= Fraction(1, 2)):
@@ -207,7 +206,9 @@ def floating_body_approx(poly: Polytope, delta, n_dirs: int | None = None,
         dirs = []
         seen = set()
         for v in directions:
-            d = _as_int_direction(as_point(v))
+            d = primitive_direction(as_point(v))
+            if d is None:
+                raise ValueError("direction must be nonzero")
             if d not in seen:
                 seen.add(d)
                 dirs.append(d)
@@ -219,10 +220,6 @@ def floating_body_approx(poly: Polytope, delta, n_dirs: int | None = None,
         dirs = direction_budget(poly, n_dirs, seed, mode="auto")
     cuts = tuple(cut_depth(poly, d, delta) for d in dirs)
     return FloatingBodyApprox(delta=delta, source=poly, cuts=cuts)
-
-
-def contains_point(approx: FloatingBodyApprox, x) -> bool:
-    return approx.contains_point(x)
 
 
 def is_nonempty(approx: FloatingBodyApprox) -> tuple[bool, tuple[Fraction, ...] | None]:

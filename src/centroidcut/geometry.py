@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -271,6 +272,28 @@ def _integer_lift(points: list[Vec]) -> tuple[list[tuple[int, ...]], int]:
     return [tuple(int(c * lcm) for c in p) for p in points], lcm
 
 
+def primitive_direction(v) -> tuple[int, ...] | None:
+    """Primitive integer vector along a rational vector; None for the zero vector."""
+    mult = math.lcm(*(c.denominator for c in v))
+    ints = [int(c * mult) for c in v]
+    g = math.gcd(*ints)
+    if g == 0:
+        return None
+    return tuple(c // g for c in ints)
+
+
+def seeded_directions(n: int, seed: int):
+    """Endless seeded stream of primitive integer directions from [-997, 997]^n.
+
+    Callers take what they need and apply their own deduplication.
+    """
+    rng = random.Random(seed)
+    while True:
+        d = primitive_direction([rng.randint(-997, 997) for _ in range(n)])
+        if d is not None:
+            yield d
+
+
 def _triangulate(points: list[Vec], n: int, facets=None) -> list[tuple[int, ...]]:
     """Triangulation (as index tuples) of conv(points), full-dimensional in R^n.
 
@@ -333,8 +356,7 @@ class Polytope:
     at construction.  Use :func:`convex_hull` to build one.
     """
 
-    __slots__ = ("dim", "vertices", "facets", "triangulation", "volume",
-                 "centroid", "_edges")
+    __slots__ = ("dim", "vertices", "facets", "triangulation", "volume", "centroid")
 
     def __init__(self, dim: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...],
                  triangulation: tuple[Simplex, ...], volume: Fraction, centroid: Vec):
@@ -344,7 +366,6 @@ class Polytope:
         object.__setattr__(self, "triangulation", triangulation)
         object.__setattr__(self, "volume", volume)
         object.__setattr__(self, "centroid", centroid)
-        object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polytope is immutable")
@@ -373,29 +394,6 @@ class Polytope:
             if v == 0:
                 on_boundary = True
         return Location.BOUNDARY if on_boundary else Location.INTERIOR
-
-    # -- derived combinatorics ----------------------------------------------
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Vertex-index pairs forming the 1-faces, from facet incidences."""
-        cached = object.__getattribute__(self, "_edges")
-        if cached is not None:
-            return cached
-        tight_sets = [frozenset(f.vertex_ids) for f in self.facets]
-        by_vertex = [frozenset(k for k, t in enumerate(tight_sets) if i in t)
-                     for i in range(len(self.vertices))]
-        edges = []
-        for i, j in itertools.combinations(range(len(self.vertices)), 2):
-            common = by_vertex[i] & by_vertex[j]
-            if not common:
-                continue
-            face = frozenset.intersection(*(tight_sets[k] for k in common))
-            if face == {i, j}:
-                edges.append((i, j))
-        result = tuple(edges)
-        object.__setattr__(self, "_edges", result)
-        return result
 
     # -- serialization --------------------------------------------------------
 

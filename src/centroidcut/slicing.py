@@ -1,59 +1,37 @@
-"""Exact halfspace clipping, cumulative volumes and section functions.
+"""Exact cumulative volumes and section functions along a direction.
 
 The volume of a simplex on one side of a hyperplane is evaluated with the
 classical frustum recursion (Varsi 1973): given the affine values at the
 vertices, the cut fraction is an O(p*q) rational recurrence that is exact and
 untroubled by ties.  Cumulative volumes along a direction sum that fraction
-over the cached triangulation, so no geometric clipping happens on hot paths;
-``clip_simplex`` provides the independent, geometry-level route and the two
-are compared exactly in the tests.
+over the cached triangulation, so no geometric clipping happens anywhere.
 
-Section values f(t) are normalized so that integrating f over the raw
-projection values t = x . theta recovers vol(K); with that convention the
+Between consecutive vertex projections the cumulative volume is one
+polynomial of degree <= n (Lawrence 1991); section values are the exact
+derivatives of those pieces, normalized so that integrating f over the raw
+projection values t = x . theta recovers vol(K).  With that convention the
 slice measure is rational even for non-unit rational normals (the Euclidean
 (n-1)-volume differs by the factor |theta|, which is irrational in general
 and only used for display).
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateInput, RefNotInterior
+from .errors import RefNotInterior
 from .geometry import (
     Location,
     Polytope,
-    Simplex,
     Vec,
     as_fraction,
     as_point,
-    det,
     dot,
     fraction_to_decimal,
-    _triangulate,
-    vsub,
 )
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """The set {x : normal·x <= offset}; the normal need not be unit."""
-
-    normal: Vec
-    offset: Fraction
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.normal):
-            raise ValueError("halfspace normal must be nonzero")
-
-    @staticmethod
-    def make(normal, offset) -> "Halfspace":
-        return Halfspace(as_point(normal), as_fraction(offset))
-
-    def value(self, x) -> Fraction:
-        return dot(self.normal, x) - self.offset
 
 
 # ---------------------------------------------------------------------------
@@ -99,28 +77,6 @@ def _cut_fraction_float(values) -> float:
         for j, b in enumerate(neg, start=1):
             row[j] = (b * row[j] + a * row[j - 1]) / (a + b)
     return row[-1]
-
-
-# ---------------------------------------------------------------------------
-# geometric clipping (independent of the recursion above)
-
-
-def clip_simplex(simplex: Simplex, half: Halfspace) -> list[Simplex]:
-    """Triangulation of simplex ∩ halfspace; empty iff the piece has zero n-volume."""
-    vals = [half.value(v) for v in simplex.vertices]
-    if all(v <= 0 for v in vals):
-        return [simplex]
-    if all(v >= 0 for v in vals):
-        return []
-    pts: list[Vec] = [v for v, val in zip(simplex.vertices, vals) if val <= 0]
-    for (i, vi), (j, vj) in itertools.combinations(enumerate(vals), 2):
-        if (vi < 0 < vj) or (vj < 0 < vi):
-            p, q = simplex.vertices[i], simplex.vertices[j]
-            lam = vi / (vi - vj)  # lies strictly in (0, 1)
-            pts.append(tuple(a + lam * (b - a) for a, b in zip(p, q)))
-    n = simplex.dim
-    tri = _triangulate(pts, n)
-    return [Simplex(tuple(pts[k] for k in ids)) for ids in tri]
 
 
 # ---------------------------------------------------------------------------
@@ -195,52 +151,6 @@ def support_interval(poly: Polytope, theta, ref) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# section values
-
-
-def section_value(poly: Polytope, theta, t) -> Fraction:
-    """Slice measure f(t) of K at the hyperplane {x·theta = t}.
-
-    Normalized so that the integral of f over raw projection values equals
-    vol(K).  Computed from edge-hyperplane crossings hulled in a coordinate
-    chart that drops the largest normal component; returns 0 outside the
-    support and the closed-slice value at its endpoints.
-    """
-    th = as_point(theta)
-    if all(c == 0 for c in th):
-        raise ValueError("direction must be nonzero")
-    t = as_fraction(t)
-    n = poly.dim
-    projs = [dot(th, v) for v in poly.vertices]
-    if t < min(projs) or t > max(projs):
-        return Fraction(0)
-    if n == 1:
-        return Fraction(1)
-    pts: list[Vec] = [v for v, p in zip(poly.vertices, projs) if p == t]
-    for i, j in poly.edges:
-        pi, pj = projs[i], projs[j]
-        if (pi < t < pj) or (pj < t < pi):
-            lam = (t - pi) / (pj - pi)
-            u, w = poly.vertices[i], poly.vertices[j]
-            pts.append(tuple(a + lam * (b - a) for a, b in zip(u, w)))
-    if len(pts) < n:
-        return Fraction(0)
-    k = max(range(n), key=lambda idx: (abs(th[idx]), -idx))
-    chart = [tuple(p[j] for j in range(n) if j != k) for p in pts]
-    try:
-        tri = _triangulate(chart, n - 1)
-    except DegenerateInput:
-        return Fraction(0)
-    fact = math.factorial(n - 1)
-    vol = Fraction(0)
-    for ids in tri:
-        base = chart[ids[0]]
-        rows = [vsub(chart[i], base) for i in ids[1:]]
-        vol += abs(det(rows)) / fact
-    return vol / abs(th[k])
-
-
-# ---------------------------------------------------------------------------
 # exact piecewise polynomials of the section function
 
 
@@ -293,51 +203,54 @@ class SectionPolynomials:
         n = poly.dim
         breaks = sorted({dot(self.ev.theta, v) for v in poly.vertices})
         self.breakpoints: list[Fraction] = breaks
-        self.cum_pieces: list[list[Fraction]] = []
         self.f_pieces: list[list[Fraction]] = []
         for lo, hi in zip(breaks, breaks[1:]):
             step = (hi - lo) / (n + 2)
             xs = [lo + (j + 1) * step for j in range(n + 1)]
             ys = [self.ev.value(x) for x in xs]
-            cum = _newton_interp(xs, ys)
-            self.cum_pieces.append(cum)
-            self.f_pieces.append(_poly_derive(cum))
-
-    def _piece_index(self, t: Fraction) -> int | None:
-        b = self.breakpoints
-        if t < b[0] or t > b[-1]:
-            return None
-        for i in range(len(b) - 1):
-            if t <= b[i + 1]:
-                return i
-        return len(b) - 2
+            self.f_pieces.append(_poly_derive(_newton_interp(xs, ys)))
 
     def f_value(self, t) -> Fraction:
-        """Section value as the exact derivative of the cumulative volume."""
+        """Section value as the exact derivative of the cumulative volume.
+
+        Zero outside the support; at a breakpoint the piece on its left is
+        used (the right one at the lower end), which for n >= 2 is the
+        closed-slice value since f is continuous on the support.
+        """
         t = as_fraction(t)
-        i = self._piece_index(t)
-        if i is None:
+        b = self.breakpoints
+        if t < b[0] or t > b[-1]:
             return Fraction(0)
+        i = max(bisect.bisect_left(b, t) - 1, 0)
         return _poly_eval(self.f_pieces[i], t)
+
+    def _integral(self, pieces) -> Fraction:
+        acc = Fraction(0)
+        for lo, hi, p in zip(self.breakpoints, self.breakpoints[1:], pieces):
+            anti = _poly_antiderive(p)
+            acc += _poly_eval(anti, hi) - _poly_eval(anti, lo)
+        return acc
 
     def mass(self) -> Fraction:
         """Integral of f over the support; equals vol(K) exactly."""
-        acc = Fraction(0)
-        for (lo, hi), f in zip(zip(self.breakpoints, self.breakpoints[1:]), self.f_pieces):
-            anti = _poly_antiderive(f)
-            acc += _poly_eval(anti, hi) - _poly_eval(anti, lo)
-        return acc
+        return self._integral(self.f_pieces)
 
     def moment(self, about) -> Fraction:
         """Exact first moment of f about a projection value s0."""
         s0 = as_fraction(about)
-        acc = Fraction(0)
-        for (lo, hi), f in zip(zip(self.breakpoints, self.breakpoints[1:]), self.f_pieces):
-            tf = [Fraction(0)] + list(f)  # t*f(t)
-            shifted = [a - s0 * b for a, b in zip(tf, list(f) + [Fraction(0)])]
-            anti = _poly_antiderive(shifted)
-            acc += _poly_eval(anti, hi) - _poly_eval(anti, lo)
-        return acc
+        zero = [Fraction(0)]
+        # (t - s0) * f(t): shift the coefficients up one degree, subtract s0 * f
+        return self._integral([[a - s0 * b for a, b in zip(zero + f, f + zero)]
+                               for f in self.f_pieces])
+
+
+def section_value(poly: Polytope, theta, t) -> Fraction:
+    """Slice measure f(t) of K at the hyperplane {x·theta = t}.
+
+    Normalized so that the integral of f over raw projection values equals
+    vol(K); see :meth:`SectionPolynomials.f_value`.
+    """
+    return SectionPolynomials(poly, theta).f_value(t)
 
 
 def section_moment(poly: Polytope, theta, ref=None) -> Fraction:
@@ -373,15 +286,19 @@ class SectionProfile:
         return [(float(t), float(f) ** (1.0 / k)) for t, f in self.samples]
 
     def midpoint_concavity_ok(self, tol: float = 1e-12) -> bool:
-        """Chord condition for h = f^(1/(n-1)) over all interior grid triples.
+        """Chord condition for h = f^(1/(n-1)) over all grid triples.
 
-        For planar bodies h equals f, so the check is an exact rational
-        comparison; in higher dimension the root is taken in floating point
-        against the tolerance.
+        For planar bodies h equals f and the check is exact: on an increasing
+        grid, slopes of consecutive samples are non-increasing iff every
+        chord condition holds.  In higher dimension the root is taken in
+        floating point against the tolerance; there every triple is checked,
+        because adjacent slopes with the same tolerance would accept more
+        profiles.
         """
         if self.dim == 2:
-            for (t1, h1), (t2, h2), (t3, h3) in itertools.combinations(self.samples, 3):
-                if (h2 - h1) * (t3 - t1) < (h3 - h1) * (t2 - t1):
+            for (t1, h1), (t2, h2), (t3, h3) in zip(self.samples, self.samples[1:],
+                                                    self.samples[2:]):
+                if (h2 - h1) * (t3 - t2) < (h3 - h2) * (t2 - t1):
                     return False
             return True
         hv = self.h_values()
@@ -416,9 +333,10 @@ def profile(poly: Polytope, theta, grid_size: int, ref=None) -> SectionProfile:
     a, b = support_interval(poly, th, refp)
     s0 = dot(th, refp)
     step = (a + b) / (grid_size - 1)
+    sp = SectionPolynomials(poly, th)
     samples = []
     for i in range(grid_size):
         t_rel = -a + i * step
-        samples.append((t_rel, section_value(poly, th, s0 + t_rel)))
+        samples.append((t_rel, sp.f_value(s0 + t_rel)))
     return SectionProfile(direction=th, ref=refp, a=a, b=b,
                           samples=tuple(samples), dim=poly.dim)

@@ -72,6 +72,12 @@ class TestFloatbody:
         assert data["nonempty"] is True
         assert data["witness"] == ["1/2", "1/2"]
 
+    def test_unknown_dirs_exit_1(self, capsys):
+        code, out = run_cli(capsys, "floatbody", "--body", "square",
+                            "--delta", "1/4", "--dirs", "bogus")
+        assert code == 1
+        assert out == ""
+
     def test_bad_delta_exit_1(self, capsys):
         code, _ = run_cli(capsys, "floatbody", "--body", "square", "--delta", "3/4")
         assert code == 1

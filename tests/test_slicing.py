@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from centroidcut import (
-    Halfspace,
     RefNotInterior,
+    SectionProfile,
     Simplex,
-    clip_simplex,
     convex_hull,
     cumulative_volume,
     profile,
@@ -21,6 +20,7 @@ from centroidcut import (
 )
 from centroidcut.generators import random_hull
 from centroidcut.slicing import CumulativeEvaluator, SectionPolynomials
+from oracles import Halfspace, clip_simplex, slice_hull_section
 
 F = Fraction
 
@@ -134,7 +134,14 @@ class TestSectionValue:
         lo, hi = sp.breakpoints[0], sp.breakpoints[-1]
         for k in range(1, 12):
             t = lo + F(k, 12) * (hi - lo)
-            assert sp.f_value(t) == section_value(body, theta, t)
+            assert sp.f_value(t) == slice_hull_section(body, theta, t)
+            assert section_value(body, theta, t) == sp.f_value(t)
+
+    def test_one_dimensional_normalization(self):
+        """The integral of f over projection values is the length: f = 1/|theta|."""
+        segment = convex_hull([(0,), (1,)])
+        assert section_value(segment, (2,), 1) == F(1, 2)
+        assert section_value(segment, (-3,), F(-1)) == F(1, 3)
 
     def test_piecewise_mass_is_volume(self):
         body = random_hull(4, 8, 77)
@@ -205,6 +212,28 @@ class TestProfile:
     def test_trapezoid_converges_to_volume(self, simplex3):
         prof = profile(simplex3, (1, 2, 3), 2048)
         assert prof.trapezoid_mass() == pytest.approx(float(simplex3.volume), rel=1e-6)
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_samples_match_slice_hull_oracle(self, n):
+        rng = random.Random(900 + n)
+        for _ in range(3):
+            body = random_hull(n, n + 5, rng.randrange(1 << 20))
+            theta = tuple(rng.randint(-4, 4) for _ in range(n - 1)) + (rng.randint(1, 4),)
+            prof = profile(body, theta, 9)
+            s0 = sum(a * b for a, b in zip(theta, prof.ref))
+            assert prof.samples[0][0] == -prof.a and prof.samples[-1][0] == prof.b
+            for t, f in prof.samples:
+                assert f == slice_hull_section(body, theta, s0 + t)
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_concavity_check_rejects_dip(self, dim):
+        def prof(fs):
+            samples = tuple((F(k), F(f)) for k, f in enumerate(fs))
+            return SectionProfile(direction=(F(1),) * dim, ref=(F(0),) * dim,
+                                  a=F(0), b=F(len(fs) - 1), samples=samples, dim=dim)
+        assert prof([0, 4, 6, 7, 7]).midpoint_concavity_ok()
+        assert not prof([0, 4, 5, 7, 7]).midpoint_concavity_ok()
+        assert not prof([1, 1, 0, 1, 1]).midpoint_concavity_ok()
 
     def test_requires_grid_of_three(self, cube3):
         with pytest.raises(ValueError):
