@@ -34,7 +34,7 @@ from .geometry import (
     seeded_directions,
     vsub,
 )
-from .slicing import CumulativeEvaluator, _cut_fraction_float
+from .slicing import CumulativeEvaluator, _cut_fraction
 
 
 def rho_bound(n: int) -> Fraction:
@@ -47,6 +47,10 @@ def delta_bound(n: int) -> Fraction:
     return Fraction(n, n + 1) ** n
 
 
+# ratio gap below which a centroid report is flagged pyramid_like
+EQUALITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the direction / point searches."""
@@ -56,8 +60,6 @@ class SearchConfig:
     multistart: int = 3
     nm_maxiter: int = 160
     tol: float = 1e-9
-    equality_tol: float = 1e-9
-    refine: bool = True
 
 
 @dataclass
@@ -138,7 +140,7 @@ class _FloatBody:
         projs = self.verts @ theta
         below = 0.0
         for vol, ids in self.cells:
-            below += vol * _cut_fraction_float([projs[i] - t for i in ids])
+            below += vol * _cut_fraction([projs[i] - t for i in ids], 1.0)
         above = self.total - below
         if below <= 0.0 or above <= 0.0:
             return math.inf
@@ -251,7 +253,7 @@ def rho_at_point(poly: Polytope, x, cfg: SearchConfig | None = None) -> Asymmetr
     if screened:
         eval_exact(screened[0][1])
 
-    if cfg.refine and n >= 2:
+    if n >= 2:
         starts = [np.array(d, dtype=float) for _, d in screened[: cfg.multistart]]
         starts += [np.array(th, dtype=float)
                    for th, _ in sorted(witnesses, key=lambda w: (-w[1], w[0]))[:cfg.multistart]]
@@ -282,7 +284,7 @@ def rho_centroid(poly: Polytope, cfg: SearchConfig | None = None) -> AsymmetryRe
     cfg = cfg or SearchConfig()
     report = rho_at_point(poly, poly.centroid, cfg)
     report.equality_exact = report.rho_exact == report.rho_n
-    report.pyramid_like = report.equality_exact or report.gap < cfg.equality_tol
+    report.pyramid_like = report.equality_exact or report.gap < EQUALITY_TOL
     return report
 
 
@@ -340,7 +342,7 @@ def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
 
     inner_cfg = SearchConfig(seed=cfg.seed, random_directions=min(cfg.random_directions, 64),
                              multistart=1, nm_maxiter=cfg.nm_maxiter // 2,
-                             tol=cfg.tol, refine=cfg.refine)
+                             tol=cfg.tol)
     report = rho_at_point(poly, xr, inner_cfg)
     centroid_report = rho_centroid(poly, inner_cfg)
     if centroid_report.rho <= report.rho:

@@ -61,9 +61,7 @@ def _emit(args, text: str):
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
 
 
 def _add_body_args(p: argparse.ArgumentParser):
@@ -243,24 +241,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rho", help="centroid cut-ratio report")
-    _add_common(p)
-    _add_body_args(p)
-    p.set_defaults(func=cmd_rho)
-
-    p = sub.add_parser("rho-min", help="minimize the cut ratio over interior points")
-    _add_common(p)
-    _add_body_args(p)
-    p.set_defaults(func=cmd_rho_min)
-
-    p = sub.add_parser("phi", help="floating-body threshold estimate")
-    _add_common(p)
-    _add_body_args(p)
-    p.set_defaults(func=cmd_phi)
+    for name, help_text, func in (
+            ("rho", "centroid cut-ratio report", cmd_rho),
+            ("rho-min", "minimize the cut ratio over interior points", cmd_rho_min),
+            ("phi", "floating-body threshold estimate", cmd_phi)):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        _add_body_args(p)
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="Nelder-Mead function tolerance of the searches")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("floatbody", help="outer approximation of K^delta")
     _add_common(p)
     _add_body_args(p)
+    p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     p.add_argument("--delta", type=str, required=True, help="fraction in (0,1/2], e.g. 1/4")
     p.add_argument("--dirs", choices=("auto", "axes", "facets"), default="auto")
     p.add_argument("--budget", type=int, default=None,
@@ -270,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma5", help="concave-profile mass extremals")
     _add_common(p)
+    p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     p.add_argument("--M", type=str, required=True, help="moment target (rational)")
     p.add_argument("--m", type=str, required=True, help="initial slope cap (rational)")
     p.add_argument("--n", type=int, required=True)

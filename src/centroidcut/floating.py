@@ -225,7 +225,9 @@ def floating_body_approx(poly: Polytope, delta, n_dirs: int | None = None,
 def is_nonempty(approx: FloatingBodyApprox) -> tuple[bool, tuple[Fraction, ...] | None]:
     """Exact feasibility of the stored halfspace system, with a witness.
 
-    Tries the source centroid first, then Fourier-Motzkin elimination.
+    Tries the source centroid first, then the max-slack simplex of
+    :func:`feasibility.feasible_point`, whose witness is any exact point of
+    the system (re-checked against every row).
     """
     c = approx.source.centroid
     if approx.contains_point(c):

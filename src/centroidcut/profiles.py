@@ -326,7 +326,8 @@ def support_ratio_extremes(M: float, m: float, n: int, grid_size: int = 200,
     """Extreme support lengths over constrained profiles; their ratio is <= n."""
     spec = MomentSpec(M=M, m=m, n=n)
     result = brute_force_extremals(spec, grid_size=grid_size, trials=trials, seed=seed)
-    assert result.b_hi / result.b_lo <= n + 1e-6, "support ratio bound violated"
+    if result.b_hi / result.b_lo > n + 1e-6:
+        raise RuntimeError(f"support ratio bound violated: {result.b_hi / result.b_lo} > {n}")
     return result.b_lo, result.b_hi
 
 

@@ -50,30 +50,24 @@ def simplex_cut_fraction(values) -> Fraction:
     and the answer is V[p][q].  Exact in rational arithmetic; vertex values
     equal to zero contribute nothing and are dropped.
     """
+    return _cut_fraction(values, Fraction(1))
+
+
+def _cut_fraction(values, one):
+    """The recursion of simplex_cut_fraction in the number type of `one`.
+
+    Fraction(1) gives the exact fraction, 1.0 the float one of the searches.
+    """
     pos = [v for v in values if v > 0]
     neg = [-v for v in values if v < 0]
     if not pos:
-        return Fraction(1)
+        return one
+    zero = type(one)(0)
     if not neg:
-        return Fraction(0)
-    row = [Fraction(1)] * (len(neg) + 1)
+        return zero
+    row = [one] * (len(neg) + 1)
     for a in pos:
-        row[0] = Fraction(0)
-        for j, b in enumerate(neg, start=1):
-            row[j] = (b * row[j] + a * row[j - 1]) / (a + b)
-    return row[-1]
-
-
-def _cut_fraction_float(values) -> float:
-    pos = [v for v in values if v > 0.0]
-    neg = [-v for v in values if v < 0.0]
-    if not pos:
-        return 1.0
-    if not neg:
-        return 0.0
-    row = [1.0] * (len(neg) + 1)
-    for a in pos:
-        row[0] = 0.0
+        row[0] = zero
         for j, b in enumerate(neg, start=1):
             row[j] = (b * row[j] + a * row[j - 1]) / (a + b)
     return row[-1]
@@ -126,7 +120,7 @@ class CumulativeEvaluator:
     def value_float(self, t: float) -> float:
         acc = 0.0
         for vol, projs in self._fcells:
-            acc += vol * _cut_fraction_float([p - t for p in projs])
+            acc += vol * _cut_fraction([p - t for p in projs], 1.0)
         return acc
 
 

@@ -48,6 +48,14 @@ class TestRho:
         code, _ = run_cli(capsys, "rho", "--nonsense")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("rho", "--body", "cube", "--n", "2", "--format", "csv"),
+        ("verify", "--tol", "1e-3"),
+    ])
+    def test_flag_not_read_by_command_exit_1(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+
     def test_nonpositive_tolerance_exit_1(self, capsys):
         code, _ = run_cli(capsys, "rho", "--body", "simplex", "--n", "2",
                           "--tol", "0")

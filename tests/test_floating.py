@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from centroidcut import (
     BadDelta,
+    CentroidCutError,
     SearchConfig,
     convex_hull,
     cumulative_volume,
@@ -19,6 +20,7 @@ from centroidcut import (
     phi_estimate,
     rho_min,
 )
+from centroidcut import feasibility
 from centroidcut.feasibility import feasible_point
 from centroidcut.generators import random_hull
 from centroidcut.geometry import dot
@@ -134,6 +136,17 @@ class TestNonemptiness:
         ok, witness = is_nonempty(approx)
         assert ok and witness == triangle.centroid
 
+    def test_random_4_body_bisection_steps(self):
+        # two delta-bisection steps of phi_estimate on this body, each on 60
+        # rows whose solution set misses the centroid
+        body = random_hull(4, 10, 0)
+        empty = floating_body_approx(body, F(1137, 2500), n_dirs=16, seed=0)
+        assert len(empty.cuts) == 60 and is_nonempty(empty) == (False, None)
+        approx = floating_body_approx(body, F(2161, 5000), n_dirs=16, seed=0)
+        assert len(approx.cuts) == 60 and not approx.contains_point(body.centroid)
+        ok, witness = is_nonempty(approx)
+        assert ok and all(dot(c.theta, witness) <= c.hi for c in approx.cuts)
+
     def test_centroid_membership_at_delta_n(self):
         for seed, n in [(3, 2), (4, 3), (5, 4)]:
             body = random_hull(n, n + 6, seed)
@@ -156,16 +169,29 @@ class TestFourierMotzkin:
         assert w is not None
         assert w[0] + w[1] <= 3 and -w[1] <= -1 and w[2] <= 0
 
-    @pytest.mark.parametrize("seed", range(12))
+    def test_witness_recheck_raises_internal_error(self, monkeypatch):
+        real = feasibility.primitive_direction
+
+        def shifted(v):
+            *coeffs, rhs = real(v)
+            return (*coeffs, rhs + 3 * sum(coeffs))
+
+        # the LP then solves the system moved by 3, 3 <= x <= 4, outside x <= 1
+        monkeypatch.setattr(feasibility, "primitive_direction", shifted)
+        with pytest.raises(RuntimeError, match="violates inequality") as info:
+            feasible_point([((1,), F(1)), ((-1,), F(0))], 1)
+        assert not isinstance(info.value, (ValueError, CentroidCutError))
+
+    @pytest.mark.parametrize("seed", range(48))
     def test_against_linprog_oracle(self, seed):
         rng = random.Random(seed)
-        n = rng.choice((2, 3))
-        rows = []
-        for _ in range(rng.randint(3, 10)):
-            coeffs = tuple(F(rng.randint(-4, 4)) for _ in range(n))
-            if all(c == 0 for c in coeffs):
-                continue
-            rows.append((coeffs, F(rng.randint(-6, 6))))
+        n = rng.choice((2, 3, 4))
+        rows = [(tuple(F(rng.randint(-4, 4)) for _ in range(n)), F(rng.randint(-3, 8)))
+                for _ in range(rng.randint(3, 24))]
+        # a zero row is either impossible (0 <= -1) or vacuous (0 <= 0); seeds
+        # 15 and 33 empty an otherwise feasible system with it
+        if seed % 3 == 0:
+            rows.insert(rng.randrange(len(rows) + 1), ((F(0),) * n, F(-(seed % 2))))
         witness = feasible_point(rows, n)
         a_ub = np.array([[float(c) for c in coeffs] for coeffs, _ in rows])
         b_ub = np.array([float(r) for _, r in rows])

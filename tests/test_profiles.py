@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from centroidcut import (
     mu,
     support_ratio_extremes,
 )
+from centroidcut import profiles
 from centroidcut.profiles import feasibility_threshold, profile_cut_ratio
 
 
@@ -207,6 +209,17 @@ class TestSupportRatio:
     def test_n1_equal(self):
         b_lo, b_hi = support_ratio_extremes(0.5, 1.0, 1, trials=1000)
         assert b_lo == pytest.approx(b_hi, rel=1e-9)
+
+    def test_violation_raises(self, monkeypatch):
+        real = profiles.brute_force_extremals
+
+        def stretched(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, b_hi=3 * result.b_lo)
+
+        monkeypatch.setattr(profiles, "brute_force_extremals", stretched)
+        with pytest.raises(RuntimeError, match="support ratio bound violated"):
+            profiles.support_ratio_extremes(1 / 6, 0.0, 2, trials=200)
 
 
 class TestClaim4:
