@@ -125,11 +125,7 @@ def ratio_at(poly: Polytope, x, theta) -> Fraction:
 class _FloatBody:
     def __init__(self, poly: Polytope):
         self.verts = np.array([[float(c) for c in v] for v in poly.vertices])
-        vmap = {v: i for i, v in enumerate(poly.vertices)}
-        self.cells = [
-            (float(s.volume()), [vmap[v] for v in s.vertices])
-            for s in poly.triangulation
-        ]
+        self.cells = [(float(vol), ids) for vol, ids in poly.cells]
         self.total = float(poly.volume)
 
     def ratio(self, x: np.ndarray, theta: np.ndarray) -> float:
@@ -349,8 +345,3 @@ def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
         report = centroid_report
         xr = poly.centroid
     return RhoMinResult(point=xr, value=report.rho, report=report)
-
-
-def phi(poly: Polytope, cfg: SearchConfig | None = None) -> float:
-    """The floating-body threshold estimate 1/(rho_min + 1)."""
-    return 1.0 / (rho_min(poly, cfg).value + 1.0)

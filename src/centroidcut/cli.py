@@ -14,8 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .asymmetry import SearchConfig, phi as phi_value, rho_centroid, rho_min
-from .errors import BadDelta, BadSpec, CentroidCutError, DegenerateInput, Infeasible
+from .asymmetry import SearchConfig, rho_centroid, rho_min
+from .errors import BadSpec, BadValue, CentroidCutError, DegenerateInput
 from .floating import floating_body_approx, is_nonempty, phi_estimate
 from .generators import BodySpec, GeneratedBody, make
 from .geometry import Polytope, as_fraction, format_fraction
@@ -137,7 +137,7 @@ def cmd_phi(args) -> int:
     cfg = _search_config(args)
     estimate = phi_estimate(gen.body, cfg)
     payload = estimate.to_dict()
-    payload["phi_from_rho_min"] = phi_value(gen.body, cfg)
+    payload["phi_from_rho_min"] = 1.0 / (rho_min(gen.body, cfg).value + 1.0)
     _emit(args, render_json(payload))
     return 0
 
@@ -215,7 +215,10 @@ def cmd_verify(args) -> int:
     unknown = [s for s in names if s not in SUITES and s != "all"]
     if unknown:
         raise BadSpec(f"unknown suite(s) {unknown}; choose from {SUITES + ('all',)}")
-    dims = tuple(int(d) for d in args.dims.split(","))
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError:
+        raise BadValue(f"--dims must be a comma list of integers, got {args.dims!r}") from None
     results = run_suites(names, bodies_count=args.bodies, dims=dims,
                          seed=args.seed, n_dirs=args.budget, trials=args.trials,
                          support_dirs=args.support_dirs)
@@ -302,9 +305,6 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args)
-    except (BadSpec, BadDelta, Infeasible, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except DegenerateInput as exc:
         sys.stderr.write(f"degenerate body: {exc}\n")
         return 2

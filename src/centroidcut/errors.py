@@ -21,5 +21,9 @@ class BadSpec(CentroidCutError):
     """Malformed generator or moment specification."""
 
 
+class BadValue(CentroidCutError, ValueError):
+    """Unparseable number, dimension above the hull cap or budget below 2n."""
+
+
 class Infeasible(CentroidCutError):
     """Moment specification admits no concave profile."""

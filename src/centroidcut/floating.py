@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .asymmetry import SearchConfig, rho_centroid
-from .errors import BadDelta
+from .errors import BadDelta, BadValue
 from .feasibility import feasible_point
 from .geometry import (
     Polytope,
@@ -50,11 +50,11 @@ BRACKET_BITS = 64
 _SNAP_DENOMS = (1, 4, 16, 256, 4096, 1 << 16, 1 << 24)
 
 
-def cut_depth(poly: Polytope, theta, delta, bits: int = BRACKET_BITS) -> DepthCut:
+def cut_depth(poly: Polytope, theta, delta) -> DepthCut:
     """Depth t with vol(K ∩ {x·theta >= t}) = delta·vol(K), bracketed.
 
     Bisection runs on the exact monotone cumulative volume (with a floating
-    warm start) until the bracket width is below 2^-bits of the support
+    warm start) until the bracket width is below 2^-BRACKET_BITS of the support
     width; simple rationals inside the bracket are then probed so that exact
     solutions (the pyramid identities) come out as zero-width brackets.
     """
@@ -66,7 +66,7 @@ def cut_depth(poly: Polytope, theta, delta, bits: int = BRACKET_BITS) -> DepthCu
     target = (1 - delta) * poly.volume
     lo, hi = ev.lo, ev.hi
     width = hi - lo
-    goal = width / (1 << bits)
+    goal = width / (1 << BRACKET_BITS)
 
     # floating warm start narrows the bracket before exact refinement
     flo, fhi = float(lo), float(hi)
@@ -216,7 +216,7 @@ def floating_body_approx(poly: Polytope, delta, n_dirs: int | None = None,
         if n_dirs is None:
             n_dirs = max(2 * n, 16)
         if n_dirs < 2 * n:
-            raise ValueError(f"direction budget {n_dirs} below 2n = {2 * n}")
+            raise BadValue(f"direction budget {n_dirs} below 2n = {2 * n}")
         dirs = direction_budget(poly, n_dirs, seed, mode="auto")
     cuts = tuple(cut_depth(poly, d, delta) for d in dirs)
     return FloatingBodyApprox(delta=delta, source=poly, cuts=cuts)
@@ -239,6 +239,9 @@ def is_nonempty(approx: FloatingBodyApprox) -> tuple[bool, tuple[Fraction, ...] 
     return True, witness
 
 
+PHI_ITERATIONS = 18  # delta bisection steps between delta_n and 1/2
+
+
 @dataclass
 class PhiEstimate:
     """Two-sided estimate of the floating-body threshold phi(K)."""
@@ -259,8 +262,7 @@ class PhiEstimate:
 
 
 def phi_estimate(poly: Polytope, cfg: SearchConfig | None = None,
-                 directions: str = "auto", n_dirs: int | None = None,
-                 iterations: int = 18) -> PhiEstimate:
+                 directions: str = "auto", n_dirs: int | None = None) -> PhiEstimate:
     """Bracket phi(K): lower bound from the centroid ratio, upper bound from
     nonemptiness bisection of the outer approximations over delta."""
     cfg = cfg or SearchConfig()
@@ -281,7 +283,7 @@ def phi_estimate(poly: Polytope, cfg: SearchConfig | None = None,
         return PhiEstimate(lo=lo, hi=0.5, delta_feasible=half, delta_infeasible=None)
     feasible = Fraction(poly.dim, poly.dim + 1) ** poly.dim  # delta_n, always nonempty
     infeasible = half
-    for _ in range(iterations):
+    for _ in range(PHI_ITERATIONS):
         mid = (feasible + infeasible) / 2
         if nonempty(mid):
             feasible = mid

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DegenerateInput
+from .errors import BadValue, DegenerateInput
 
 Vec = tuple[Fraction, ...]
 
@@ -47,7 +47,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise BadValue(f"cannot interpret {x!r} as a rational number") from None
     if isinstance(x, float):
         # floats are binary rationals; conversion is exact
         return Fraction(x)
@@ -351,19 +354,21 @@ class Facet:
 class Polytope:
     """Full-dimensional convex polytope in vertex representation.
 
-    Instances are immutable; the facet list, a deterministic triangulation,
-    the exact volume and the exact centroid are all computed (and validated)
-    at construction.  Use :func:`convex_hull` to build one.
+    Instances are immutable; the facet list, the cell table of a deterministic
+    triangulation, the exact volume and the exact centroid are all computed
+    (and validated) at construction.  Each cell is (exact volume, vertex-index
+    tuple).  Use :func:`convex_hull` to build one.
     """
 
-    __slots__ = ("dim", "vertices", "facets", "triangulation", "volume", "centroid")
+    __slots__ = ("dim", "vertices", "facets", "cells", "volume", "centroid")
 
     def __init__(self, dim: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...],
-                 triangulation: tuple[Simplex, ...], volume: Fraction, centroid: Vec):
+                 cells: tuple[tuple[Fraction, tuple[int, ...]], ...], volume: Fraction,
+                 centroid: Vec):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "triangulation", triangulation)
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "volume", volume)
         object.__setattr__(self, "centroid", centroid)
 
@@ -378,6 +383,11 @@ class Polytope:
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, volume={self.volume})"
+
+    @property
+    def triangulation(self) -> tuple[Simplex, ...]:
+        """The cells as simplices with their vertex coordinates."""
+        return tuple(Simplex(tuple(self.vertices[i] for i in ids)) for _, ids in self.cells)
 
     # -- predicates ---------------------------------------------------------
 
@@ -442,7 +452,7 @@ def convex_hull(points) -> Polytope:
         raise DegenerateInput("inconsistent point dimensions")
     cap = max_dim()
     if n > cap:
-        raise ValueError(f"dimension {n} exceeds cap {cap} (set {MAX_DIM_ENV} to raise it)")
+        raise BadValue(f"dimension {n} exceeds cap {cap} (set {MAX_DIM_ENV} to raise it)")
     if len(pts) < n + 1:
         raise DegenerateInput("need at least n+1 points for a full-dimensional body")
 
@@ -472,17 +482,22 @@ def convex_hull(points) -> Polytope:
 
     tri_ids = _triangulate(list(vertex_pts), n,
                            facets=[(f.normal, f.vertex_ids) for f in facets])
-    simplices = tuple(Simplex(tuple(vertex_pts[i] for i in ids)) for ids in tri_ids)
-    volume = sum((s.volume() for s in simplices), Fraction(0))
-    if volume <= 0:
+    # one integer determinant D per cell of the lifted vertices: the cell
+    # volume is |D| / (lift^n n!), the centroid the |D|-weighted cell centroid
+    vint, lift = _integer_lift(vertex_pts)
+    dets = [abs(_det_int([[a - b for a, b in zip(vint[i], vint[ids[0]])] for i in ids[1:]]))
+            for ids in tri_ids]
+    total = sum(dets)
+    if total == 0:
         raise DegenerateInput("zero volume after triangulation")
+    unit = lift**n * math.factorial(n)
+    cells = tuple((Fraction(d, unit), ids) for d, ids in zip(dets, tri_ids))
     centroid = tuple(
-        sum((s.volume() * s.centroid()[j] for s in simplices), Fraction(0)) / volume
-        for j in range(n)
-    )
+        Fraction(sum(d * sum(vint[i][j] for i in ids) for d, ids in zip(dets, tri_ids)),
+                 (n + 1) * lift * total) for j in range(n))
 
     poly = Polytope(dim=n, vertices=tuple(vertex_pts), facets=tuple(facets),
-                    triangulation=simplices, volume=volume, centroid=centroid)
+                    cells=cells, volume=Fraction(total, unit), centroid=centroid)
     if poly.contains(centroid) is not Location.INTERIOR:
         raise DegenerateInput("centroid not strictly interior")
     return poly

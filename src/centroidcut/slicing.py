@@ -4,7 +4,7 @@ The volume of a simplex on one side of a hyperplane is evaluated with the
 classical frustum recursion (Varsi 1973): given the affine values at the
 vertices, the cut fraction is an O(p*q) rational recurrence that is exact and
 untroubled by ties.  Cumulative volumes along a direction sum that fraction
-over the cached triangulation, so no geometric clipping happens anywhere.
+over the polytope's cell table, so no geometric clipping happens anywhere.
 
 Between consecutive vertex projections the cumulative volume is one
 polynomial of degree <= n (Lawrence 1991); section values are the exact
@@ -80,9 +80,11 @@ def _cut_fraction(values, one):
 class CumulativeEvaluator:
     """Repeated exact evaluations of t -> vol(K ∩ {x·theta <= t}).
 
-    Precomputes per-simplex vertex projections once; each evaluation is the
-    frustum recursion per simplex.  ``value_float`` runs the same recurrence
-    in floating point for search/bisection warm starts.
+    Each vertex is projected once and scaled to the integer P_i = L x_i·theta,
+    L the lcm of the projections' denominators.  For t = p/q the integers
+    P_i q - L p are x_i·theta - t times L q > 0, which leaves the frustum
+    recursion run over each cell unchanged.  ``value_float`` runs the same
+    recurrence in floating point for search/bisection warm starts.
     """
 
     def __init__(self, poly: Polytope, theta):
@@ -91,16 +93,13 @@ class CumulativeEvaluator:
         if all(c == 0 for c in self.theta):
             raise ValueError("direction must be nonzero")
         self.total = poly.volume
-        self._cells = [
-            (s.volume(), [dot(self.theta, v) for v in s.vertices])
-            for s in poly.triangulation
-        ]
-        self._fcells = [
-            (float(vol), [float(p) for p in projs]) for vol, projs in self._cells
-        ]
-        projs = [dot(self.theta, v) for v in poly.vertices]
-        self.lo = min(projs)
-        self.hi = max(projs)
+        self.projections = [dot(self.theta, v) for v in poly.vertices]
+        self.lo = min(self.projections)
+        self.hi = max(self.projections)
+        self._scale = math.lcm(*(p.denominator for p in self.projections))
+        self._ints = [p.numerator * (self._scale // p.denominator) for p in self.projections]
+        self._fprojs = [float(p) for p in self.projections]
+        self._fcells = [(float(vol), ids) for vol, ids in poly.cells]
 
     def value(self, t) -> Fraction:
         t = as_fraction(t)
@@ -108,19 +107,18 @@ class CumulativeEvaluator:
             return Fraction(0)
         if t >= self.hi:
             return self.total
+        q, lp = t.denominator, self._scale * t.numerator
+        vals = [p * q - lp for p in self._ints]
         acc = Fraction(0)
-        for vol, projs in self._cells:
-            vals = [p - t for p in projs]
-            # the cut fraction is invariant under positive scaling of the
-            # values; integer inputs keep the recursion's denominators small
-            mult = math.lcm(*(v.denominator for v in vals))
-            acc += vol * simplex_cut_fraction([int(v * mult) for v in vals])
+        for vol, ids in self.poly.cells:
+            acc += vol * simplex_cut_fraction([vals[i] for i in ids])
         return acc
 
     def value_float(self, t: float) -> float:
+        vals = [p - t for p in self._fprojs]
         acc = 0.0
-        for vol, projs in self._fcells:
-            acc += vol * _cut_fraction([p - t for p in projs], 1.0)
+        for vol, ids in self._fcells:
+            acc += vol * _cut_fraction([vals[i] for i in ids], 1.0)
         return acc
 
 
@@ -195,7 +193,7 @@ class SectionPolynomials:
     def __init__(self, poly: Polytope, theta):
         self.ev = CumulativeEvaluator(poly, theta)
         n = poly.dim
-        breaks = sorted({dot(self.ev.theta, v) for v in poly.vertices})
+        breaks = sorted(set(self.ev.projections))
         self.breakpoints: list[Fraction] = breaks
         self.f_pieces: list[list[Fraction]] = []
         for lo, hi in zip(breaks, breaks[1:]):

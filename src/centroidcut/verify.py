@@ -6,14 +6,14 @@ and deterministic.
 """
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .asymmetry import SearchConfig, delta_bound, rho_bound, rho_centroid
+from .asymmetry import SearchConfig, delta_bound, ratio_at, rho_bound, rho_centroid
 from .floating import floating_body_approx
 from .generators import BodySpec, fleet_specs, make
-from .geometry import Polytope
+from .geometry import Polytope, dot, seeded_directions
 from .profiles import (
     MomentSpec,
     brute_force_extremals,
@@ -24,8 +24,7 @@ from .profiles import (
     min_mu,
     moment,
 )
-from .slicing import profile, support_interval
-from .asymmetry import ratio_at
+from .slicing import CumulativeEvaluator, profile, support_interval
 
 
 @dataclass
@@ -54,16 +53,6 @@ def fleet_bodies(count: int = 200, dims: tuple[int, ...] = (2, 3, 4),
     return [make(s).body for s in fleet_specs(count, dims, seed)]
 
 
-def _seeded_directions(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    rng = random.Random(seed)
-    dirs = []
-    while len(dirs) < count:
-        v = tuple(rng.randint(-99, 99) for _ in range(n))
-        if any(c != 0 for c in v):
-            dirs.append(v)
-    return dirs
-
-
 def check_bound(bodies: list[Polytope], cfg: SearchConfig | None = None,
                    support_dirs: int = 100, grid: int = 64,
                    tol: float = 1e-9) -> list[InvariantResult]:
@@ -80,11 +69,11 @@ def check_bound(bodies: list[Polytope], cfg: SearchConfig | None = None,
         bound.record(report.rho <= float(rn) + tol, f"body {i}: rho={report.rho}")
         exact.record(all(r <= rn for _, r in report.exact_witnesses),
                      f"body {i}: witness beats bound")
-        for theta in _seeded_directions(n, support_dirs, 1000 + i):
+        for theta in itertools.islice(seeded_directions(n, 1000 + i), support_dirs):
             a, b = support_interval(body, theta, body.centroid)
             ratio.record(Fraction(1, n) <= a / b <= n,
                          f"body {i}: a/b={a}/{b} along {theta}")
-        theta = _seeded_directions(n, 1, 5000 + i)[0]
+        theta = next(seeded_directions(n, 5000 + i))
         prof = profile(body, theta, grid)
         concave.record(prof.midpoint_concavity_ok(1e-12), f"body {i} along {theta}")
     return [bound, exact, ratio, concave]
@@ -112,9 +101,6 @@ def check_floating(bodies: list[Polytope], n_dirs: int = 64,
 def check_pyramids(dims: tuple[int, ...] = (2, 3, 4), per_dim: int = 4,
                    seed: int = 23) -> list[InvariantResult]:
     """Exact pyramid identities: ratio rho_n and apex fraction delta_n."""
-    from .slicing import CumulativeEvaluator
-    from .geometry import dot
-
     equality = InvariantResult("pyramid base-normal ratio == rho_n (exact)")
     apex = InvariantResult("apex-side fraction == delta_n (exact)")
     bases = ["cube", "simplex", "cross", "random-hull"]

@@ -172,3 +172,34 @@ class TestVerify:
     def test_unknown_suite_exit_1(self, capsys):
         code, _ = run_cli(capsys, "verify", "--suite", "nope")
         assert code == 1
+
+
+class TestInputErrors:
+    """Bad input exits 1 with "error:" on stderr and nothing on stdout; a
+    ValueError from inside a command is a fault and is not caught."""
+
+    @pytest.mark.parametrize("argv", [
+        ("floatbody", "--body", "square", "--delta", "abc"),
+        ("floatbody", "--body", "square", "--delta", "1/0"),
+        ("gen", "--kind", "pyramid", "--height", "abc"),
+        ("gen", "--kind", "profile-body", "--n", "2", "--profile", '[["0","x"],["1","1"]]'),
+        ("verify", "--dims", "2,x"),
+        ("verify", "--suite", "floatbody", "--bodies", "1", "--dims", "2", "--budget", "2"),
+        ("rho", "--body", "cube", "--n", "7"),
+    ])
+    def test_exit_1(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_internal_value_error_propagates(self, capsys, monkeypatch):
+        import centroidcut.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "rho_centroid", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["rho", "--body", "square"])
+        assert capsys.readouterr().out == ""

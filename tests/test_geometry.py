@@ -14,6 +14,7 @@ from centroidcut import (
     affine_image,
     convex_hull,
 )
+from centroidcut.generators import BodySpec, make, random_hull
 from centroidcut.geometry import as_point, det, dot, fraction_to_decimal
 
 F = Fraction
@@ -100,6 +101,17 @@ class TestVolumeCentroid:
     def test_triangulation_volumes_sum_exactly(self, square_pyramid, cube3):
         for poly in (square_pyramid, cube3):
             assert sum(s.volume() for s in poly.triangulation) == poly.volume
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cell_table_matches_triangulation(self, n):
+        for poly in (random_hull(n, n + 5, 17), make(BodySpec(kind="pyramid", n=n)).body):
+            simplices = poly.triangulation
+            vols = [vol for vol, _ in poly.cells]
+            assert vols == [s.volume() for s in simplices]
+            assert sum(vols) == poly.volume
+            assert poly.centroid == tuple(
+                sum(s.volume() * s.centroid()[j] for s in simplices) / poly.volume
+                for j in range(n))
 
 
 class TestContains:

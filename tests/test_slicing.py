@@ -19,6 +19,7 @@ from centroidcut import (
     support_interval,
 )
 from centroidcut.generators import random_hull
+from centroidcut.geometry import dot
 from centroidcut.slicing import CumulativeEvaluator, SectionPolynomials
 from oracles import Halfspace, clip_simplex, slice_hull_section
 
@@ -106,6 +107,38 @@ class TestCumulativeVolume:
         for t in (F(-1, 2), F(0), F(1, 3), F(7, 8)):
             assert cumulative_volume(square_pyramid, theta, t) == cumulative_volume(
                 square_pyramid, tuple(lam * c for c in theta), lam * t)
+
+
+class TestIntegerScale:
+    """CumulativeEvaluator.value, which runs the recurrence on integer vertex
+    values, against the recurrence on the exact values x·theta - t summed
+    directly over poly.triangulation."""
+
+    @staticmethod
+    def direct(poly, theta, t):
+        return sum((s.volume() * simplex_cut_fraction([dot(theta, v) - t for v in s.vertices])
+                    for s in poly.triangulation), F(0))
+
+    def check(self, poly, theta, seed):
+        ev = CumulativeEvaluator(poly, theta)
+        projs = sorted({dot(theta, v) for v in poly.vertices})
+        ts = projs + [(a + b) / 2 for a, b in zip(projs, projs[1:])]
+        rng = random.Random(seed)
+        big = (1 << 64) - 59  # prime, so t keeps a 64-bit denominator factor
+        ts += [projs[0] + (projs[-1] - projs[0]) * F(rng.randrange(1, big), big)
+               for _ in range(4)]
+        for t in ts:
+            assert ev.value(t) == self.direct(poly, theta, t), t
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_hulls_rational_theta(self, n, seed):
+        poly = random_hull(n, n + 5, 300 + seed)
+        self.check(poly, (F(1, 3), F(-2, 7), F(5, 2), F(-3, 11))[:n], seed)
+
+    def test_tied_projections(self, cube3):
+        # (1, 0, z) and (0, 1, z) project alike: t hits several vertices at once
+        self.check(cube3, (F(1, 3), F(1, 3), F(-2, 7)), 2)
 
 
 class TestSectionValue:
