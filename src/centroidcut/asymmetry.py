@@ -29,8 +29,8 @@ from .geometry import (
     Polytope,
     Vec,
     as_point,
+    distinct_directions,
     dot,
-    primitive_direction,
     seeded_directions,
     vsub,
 )
@@ -143,46 +143,10 @@ class _FloatBody:
         return max(below / above, above / below)
 
 
-def _unsigned_key(vec: tuple[int, ...]) -> tuple[int, ...]:
-    for c in vec:
-        if c != 0:
-            return vec if c > 0 else tuple(-a for a in vec)
-    return vec
-
-
 def exact_candidate_directions(poly: Polytope, x: Vec) -> list[tuple[int, ...]]:
     """Facet normals and vertex-difference directions, deduplicated up to sign."""
-    out = []
-    seen = set()
-    for f in poly.facets:
-        d = primitive_direction(f.normal)
-        key = _unsigned_key(d)
-        if key not in seen:
-            seen.add(key)
-            out.append(d)
-    for v in poly.vertices:
-        d = primitive_direction(vsub(v, x))
-        if d is None:
-            continue
-        key = _unsigned_key(d)
-        if key not in seen:
-            seen.add(key)
-            out.append(d)
-    return out
-
-
-def _random_directions(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    """The first `count` seeded directions that are distinct up to sign."""
-    out = []
-    seen = set()
-    stream = seeded_directions(n, seed)
-    while len(out) < count:
-        d = next(stream)
-        key = _unsigned_key(d)
-        if key not in seen:
-            seen.add(key)
-            out.append(d)
-    return out
+    vectors = [f.normal for f in poly.facets] + [vsub(v, x) for v in poly.vertices]
+    return distinct_directions(vectors, signed=False)
 
 
 def _tangent_basis(theta: np.ndarray) -> np.ndarray:
@@ -207,12 +171,12 @@ def _refine_direction(fb: _FloatBody, x: np.ndarray, theta0: np.ndarray,
     return base + tb @ res.x
 
 
-def _rationalize_direction(theta: np.ndarray, max_den: int = 10**6) -> tuple[int, ...] | None:
+def _rationalize_direction(theta: np.ndarray, max_den: int = 10**6) -> list[Fraction]:
+    """A nearby rational vector; the zero vector when theta is zero or not finite."""
     scale = float(np.max(np.abs(theta)))
     if scale == 0.0 or not np.isfinite(scale):
-        return None
-    return primitive_direction([Fraction(float(c / scale)).limit_denominator(max_den)
-                                for c in theta])
+        return [Fraction(0)] * theta.size
+    return [Fraction(float(c / scale)).limit_denominator(max_den) for c in theta]
 
 
 # ---------------------------------------------------------------------------
@@ -230,34 +194,23 @@ def rho_at_point(poly: Polytope, x, cfg: SearchConfig | None = None) -> Asymmetr
     fb = _FloatBody(poly)
     xf = np.array([float(c) for c in xp])
 
-    witnesses: list[tuple[tuple[int, ...], Fraction]] = []
-    evaluations = 0
-
-    def eval_exact(d: tuple[int, ...]):
-        nonlocal evaluations
-        evaluations += 1
-        witnesses.append((d, ratio_at(poly, xp, d)))
-
-    for d in exact_candidate_directions(poly, xp):
-        eval_exact(d)
-
-    screened: list[tuple[float, tuple[int, ...]]] = []
-    for d in _random_directions(n, cfg.random_directions, cfg.seed):
-        screened.append((fb.ratio(xf, np.array(d, dtype=float)), d))
-    screened.sort(key=lambda p: (-p[0], p[1]))
-
-    if screened:
-        eval_exact(screened[0][1])
+    candidates = exact_candidate_directions(poly, xp)
+    sample = distinct_directions(seeded_directions(n, cfg.seed), cfg.random_directions,
+                                 signed=False)
+    screened = sorted(((fb.ratio(xf, np.array(d, dtype=float)), d) for d in sample),
+                      key=lambda p: (-p[0], p[1]))
+    candidates += [d for _, d in screened[:1]]
+    witnesses = [(d, ratio_at(poly, xp, d)) for d in candidates]
 
     if n >= 2:
         starts = [np.array(d, dtype=float) for _, d in screened[: cfg.multistart]]
         starts += [np.array(th, dtype=float)
                    for th, _ in sorted(witnesses, key=lambda w: (-w[1], w[0]))[:cfg.multistart]]
-        for th0 in starts:
-            refined = _refine_direction(fb, xf, th0, cfg)
-            d = _rationalize_direction(refined)
-            if d is not None and not any(_unsigned_key(d) == _unsigned_key(w[0]) for w in witnesses):
-                eval_exact(d)
+        refined = [_rationalize_direction(_refine_direction(fb, xf, th0, cfg)) for th0 in starts]
+        # evaluate the refined directions that are new up to sign
+        known = distinct_directions(candidates, signed=False)
+        for d in distinct_directions(known + refined, signed=False)[len(known):]:
+            witnesses.append((d, ratio_at(poly, xp, d)))
 
     witnesses.sort(key=lambda w: (-w[1], w[0]))
     best_theta, best_ratio = witnesses[0]
@@ -270,7 +223,7 @@ def rho_at_point(poly: Polytope, x, cfg: SearchConfig | None = None) -> Asymmetr
         gap=float(bound - best_ratio),
         phi=1.0 / (float(best_ratio) + 1.0),
         exact_witnesses=tuple(witnesses[:8]),
-        evaluations=evaluations,
+        evaluations=len(witnesses),
     )
     return report
 
@@ -311,7 +264,8 @@ def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
     dirs = exact_candidate_directions(poly, poly.centroid)
     dirs_f = [np.array(d, dtype=float) for d in dirs]
     dirs_f += [np.array(d, dtype=float)
-               for d in _random_directions(n, min(cfg.random_directions, 48), cfg.seed + 1)]
+               for d in distinct_directions(seeded_directions(n, cfg.seed + 1),
+                                            min(cfg.random_directions, 48), signed=False)]
     facet_n = np.array([[float(c) for c in f.normal] for f in poly.facets])
     facet_c = np.array([float(f.offset) for f in poly.facets])
 

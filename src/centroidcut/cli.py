@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .asymmetry import SearchConfig, rho_centroid, rho_min
 from .errors import BadSpec, BadValue, CentroidCutError, DegenerateInput
-from .floating import floating_body_approx, is_nonempty, phi_estimate
+from .floating import DIRECTION_MODES, floating_body_approx, is_nonempty, phi_estimate
 from .generators import BodySpec, GeneratedBody, make
 from .geometry import Polytope, as_fraction, format_fraction
 from .profiles import MomentSpec, brute_force_extremals, is_feasible, max_mu, min_mu
@@ -260,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_body_args(p)
     p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     p.add_argument("--delta", type=str, required=True, help="fraction in (0,1/2], e.g. 1/4")
-    p.add_argument("--dirs", choices=("auto", "axes", "facets"), default="auto")
+    p.add_argument("--dirs", choices=DIRECTION_MODES, default="auto")
     p.add_argument("--budget", type=int, default=None,
-                   help="least number of directions in auto mode; axes and facet "
-                        "normals are always kept, so more may be used")
+                   help="least number of directions in auto mode, at least 2n; axes "
+                        "and facet normals are always kept, so more may be used")
     p.set_defaults(func=cmd_floatbody)
 
     p = sub.add_parser("lemma5", help="concave-profile mass extremals")

@@ -10,6 +10,7 @@ the pyramid equality cases are tight exactly there.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .geometry import (
     Polytope,
     as_fraction,
     as_point,
+    distinct_directions,
     dot,
     format_fraction,
     primitive_direction,
@@ -106,10 +108,6 @@ class FloatingBodyApprox:
     source: Polytope
     cuts: tuple[DepthCut, ...]
 
-    @property
-    def direction_count(self) -> int:
-        return len(self.cuts)
-
     def contains_point(self, x) -> bool:
         """Necessary condition for membership in the true K^delta."""
         p = as_point(x)
@@ -132,92 +130,48 @@ class FloatingBodyApprox:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _axis_directions(n: int) -> list[tuple[int, ...]]:
-    dirs = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        dirs.append(tuple(e))
-        e2 = [0] * n
-        e2[i] = -1
-        dirs.append(tuple(e2))
-    return dirs
+DIRECTION_MODES = ("auto", "axes", "facets")
 
 
 def direction_budget(poly: Polytope, n_dirs: int | None, seed: int = 0,
                      mode: str = "auto") -> list[tuple[int, ...]]:
-    """Deterministic signed direction set for depth cuts.
+    """Deterministic signed direction set for depth cuts; `mode` is one of
+    'auto', 'axes' or 'facets'.
 
-    auto: +-axes, +-facet normals, then seeded integer directions until the
-    set has n_dirs members.  The budget is a floor, not a cap: axes and facet
-    normals are always kept, so a body with many facets gets more than n_dirs
-    directions.  axes / facets restrict to those families.
+    auto: +-axes, +-facet normals, then seeded integer directions up to n_dirs,
+    which must be at least 2n; n_dirs=None means no random fill.  The budget
+    is a floor, not a cap: axes and facet normals are always kept.  facets:
+    inward normals, whose complement cut points at the opposite side, where
+    the pyramid equality cases are tight at the centroid.
     """
     n = poly.dim
+    if mode not in DIRECTION_MODES:
+        raise BadValue(f"direction mode must be one of {DIRECTION_MODES}, got {mode!r}")
+    axes = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
     if mode == "axes":
-        return _axis_directions(n)
+        return axes
     if mode == "facets":
-        # inward normals: the complement cut points at the opposite side, which
-        # is where the pyramid equality cases are tight at the centroid
-        out, seen = [], set()
-        for f in poly.facets:
-            d = primitive_direction([-c for c in f.normal])
-            if d not in seen:
-                seen.add(d)
-                out.append(d)
-        return out
-    out, seen = [], set()
-    for d in _axis_directions(n):
-        if d not in seen:
-            seen.add(d)
-            out.append(d)
-    for f in poly.facets:
-        for d in (primitive_direction(f.normal), primitive_direction([-c for c in f.normal])):
-            if d not in seen:
-                seen.add(d)
-                out.append(d)
-    if n_dirs is not None:
-        # axes and facet normals are never dropped; randoms fill up to the budget
-        stream = seeded_directions(n, seed)
-        while len(out) < n_dirs:
-            d = next(stream)
-            if d in seen:
-                continue
-            seen.add(d)
-            out.append(d)
-    return out
+        return distinct_directions([-c for c in f.normal] for f in poly.facets)
+    if n_dirs is not None and n_dirs < 2 * n:
+        raise BadValue(f"direction budget {n_dirs} below 2n = {2 * n}")
+    kept = distinct_directions(axes + [v for f in poly.facets
+                                       for v in (f.normal, [-c for c in f.normal])])
+    return distinct_directions(itertools.chain(kept, seeded_directions(n, seed)),
+                               max(n_dirs or 0, len(kept)))
 
 
 def floating_body_approx(poly: Polytope, delta, n_dirs: int | None = None,
-                         seed: int = 0, directions=None) -> FloatingBodyApprox:
-    """Outer approximation of K^delta from a finite direction budget.
+                         seed: int = 0, directions: str = "auto") -> FloatingBodyApprox:
+    """Outer approximation of K^delta from a finite direction set.
 
-    `directions` may be an explicit list of vectors or a mode string
-    ('auto', 'axes', 'facets'); otherwise the auto set is used, with
-    n_dirs >= 2n as its floor (see :func:`direction_budget`).
+    `directions` takes only 'auto', 'axes' or 'facets'; in auto mode n_dirs
+    is the budget, a floor of at least 2n, and n_dirs=None means no random
+    fill (see :func:`direction_budget`).
     """
     delta = as_fraction(delta)
     if not (0 < delta <= Fraction(1, 2)):
         raise BadDelta(f"delta must lie in (0, 1/2], got {delta}")
-    n = poly.dim
-    if isinstance(directions, str):
-        dirs = direction_budget(poly, n_dirs, seed, mode=directions)
-    elif directions is not None:
-        dirs = []
-        seen = set()
-        for v in directions:
-            d = primitive_direction(as_point(v))
-            if d is None:
-                raise ValueError("direction must be nonzero")
-            if d not in seen:
-                seen.add(d)
-                dirs.append(d)
-    else:
-        if n_dirs is None:
-            n_dirs = max(2 * n, 16)
-        if n_dirs < 2 * n:
-            raise BadValue(f"direction budget {n_dirs} below 2n = {2 * n}")
-        dirs = direction_budget(poly, n_dirs, seed, mode="auto")
+    dirs = direction_budget(poly, n_dirs, seed, mode=directions)
     cuts = tuple(cut_depth(poly, d, delta) for d in dirs)
     return FloatingBodyApprox(delta=delta, source=poly, cuts=cuts)
 

@@ -26,14 +26,14 @@ MAX_DIM_ENV = "CENTROIDCUT_MAXDIM"
 
 
 def max_dim() -> int:
-    """Dimension cap for hull construction; override with CENTROIDCUT_MAXDIM."""
+    """Dimension cap for hull construction; override with CENTROIDCUT_MAXDIM,
+    which must then be a positive integer."""
     raw = os.environ.get(MAX_DIM_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_MAX_DIM
+    if not raw:
+        return DEFAULT_MAX_DIM
+    if not raw.isdecimal() or int(raw) < 1:
+        raise BadValue(f"{MAX_DIM_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +54,7 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         # floats are binary rationals; conversion is exact
         return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
+    raise BadValue(f"cannot interpret {x!r} as a rational number")
 
 
 def format_fraction(x: Fraction):
@@ -286,15 +286,42 @@ def primitive_direction(v) -> tuple[int, ...] | None:
 
 
 def seeded_directions(n: int, seed: int):
-    """Endless seeded stream of primitive integer directions from [-997, 997]^n.
+    """Seeded stream of primitive integer directions from [-997, 997]^n.
 
-    Callers take what they need and apply their own deduplication.
+    Endless for n >= 2.  R^1 has only the two unit directions, so there the
+    stream ends once it has drawn both.  Repeats are not removed; see
+    :func:`distinct_directions`.
     """
     rng = random.Random(seed)
-    while True:
+    units = {(1,), (-1,)}
+    while n > 1 or units:
         d = primitive_direction([rng.randint(-997, 997) for _ in range(n)])
         if d is not None:
+            units.discard(d)
             yield d
+
+
+def distinct_directions(vectors, count: int | None = None,
+                        signed: bool = True) -> list[tuple[int, ...]]:
+    """Primitive integer directions of `vectors`, in order, without repeats.
+
+    Zero vectors are dropped.  With signed=False, d and -d are the same
+    direction and the first one met is kept.  At most `count` directions are
+    taken, so `vectors` may be an endless stream when `count` is given.
+    """
+    out: list[tuple[int, ...]] = []
+    seen = set()
+    for v in vectors:
+        if count is not None and len(out) >= count:
+            break
+        d = primitive_direction(v)
+        if d is None or d in seen:
+            continue
+        out.append(d)
+        seen.add(d)
+        if not signed:
+            seen.add(tuple(-c for c in d))
+    return out
 
 
 def _triangulate(points: list[Vec], n: int, facets=None) -> list[tuple[int, ...]]:

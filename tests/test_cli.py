@@ -155,6 +155,21 @@ class TestPhi:
         assert data["lo"] <= 0.5 <= data["hi"] + 1e-12
 
 
+class TestOneBody:
+    """Every search finishes on a 1-body, where R^1 has only two directions."""
+
+    @pytest.mark.parametrize("argv", [
+        ("rho",),
+        ("rho-min",),
+        ("phi",),
+        ("floatbody", "--delta", "1/4", "--budget", "16"),
+    ])
+    def test_exit_0(self, capsys, argv):
+        code, out = run_cli(capsys, *argv, "--body", "cube", "--n", "1")
+        assert code == 0
+        assert json.loads(out)
+
+
 class TestVerify:
     def test_small_fleet_passes(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "bound,pyramids",
@@ -186,6 +201,8 @@ class TestInputErrors:
         ("verify", "--dims", "2,x"),
         ("verify", "--suite", "floatbody", "--bodies", "1", "--dims", "2", "--budget", "2"),
         ("rho", "--body", "cube", "--n", "7"),
+        ("gen", "--kind", "profile-body", "--n", "2", "--profile", "[[null,1],[1,1]]"),
+        ("floatbody", "--body", "square", "--delta", "1/4", "--budget", "2"),
     ])
     def test_exit_1(self, capsys, argv):
         code = main(list(argv))

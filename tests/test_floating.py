@@ -92,6 +92,17 @@ class TestFloatingBodyApprox:
     def test_budget_floor(self, square):
         with pytest.raises(ValueError):
             floating_body_approx(square, F(1, 4), n_dirs=2)
+        with pytest.raises(ValueError):
+            floating_body_approx(square, F(1, 4), n_dirs=3, directions="auto")
+
+    def test_no_budget_means_no_random_fill(self, square):
+        approx = floating_body_approx(square, F(1, 4))
+        assert [c.theta for c in approx.cuts] == [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+    @pytest.mark.parametrize("directions", ["bogus", None, [(1, 0), (0, 1)]])
+    def test_only_named_direction_modes(self, square, directions):
+        with pytest.raises(CentroidCutError):
+            floating_body_approx(square, F(1, 4), directions=directions)
 
     def test_outer_soundness(self):
         """Each stored halfspace's complement cuts off at least delta (up to

@@ -15,7 +15,15 @@ from centroidcut import (
     convex_hull,
 )
 from centroidcut.generators import BodySpec, make, random_hull
-from centroidcut.geometry import as_point, det, dot, fraction_to_decimal
+from centroidcut.errors import BadValue
+from centroidcut.geometry import (
+    as_point,
+    det,
+    distinct_directions,
+    dot,
+    fraction_to_decimal,
+    seeded_directions,
+)
 
 F = Fraction
 
@@ -64,6 +72,12 @@ class TestConvexHull:
             convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         monkeypatch.delenv("CENTROIDCUT_MAXDIM")
         convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+    def test_dimension_cap_env_rejects_non_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("CENTROIDCUT_MAXDIM", raw)
+        with pytest.raises(BadValue, match="CENTROIDCUT_MAXDIM"):
+            convex_hull([(0, 0), (1, 0), (0, 1)])
 
 
 class TestVolumeCentroid:
@@ -223,6 +237,27 @@ class TestSerialization:
     def test_malformed_json_degenerate(self):
         with pytest.raises(DegenerateInput):
             Polytope.from_dict({"dim": 2})
+
+
+class TestDistinctDirections:
+    def test_order_zeros_sign_twins_and_count(self):
+        vecs = [(2, 4), (0, 0), (F(1, 3), F(2, 3)), (-1, -2), (3, 0), (-6, 0), (0, 5)]
+        assert distinct_directions(vecs) == [(1, 2), (-1, -2), (1, 0), (-1, 0), (0, 1)]
+        assert distinct_directions(vecs, signed=False) == [(1, 2), (1, 0), (0, 1)]
+        assert distinct_directions(vecs, count=2, signed=False) == [(1, 2), (1, 0)]
+        assert distinct_directions(vecs, count=0) == []
+
+    def test_endless_stream_with_count(self):
+        dirs = distinct_directions(seeded_directions(3, 0), count=40, signed=False)
+        assert len(dirs) == 40
+        assert len({max(d, tuple(-c for c in d)) for d in dirs}) == 40
+
+    def test_r1_stream_is_finite(self):
+        for seed in range(20):
+            drawn = list(seeded_directions(1, seed))
+            assert set(drawn) == {(1,), (-1,)}
+            assert sorted(distinct_directions(drawn)) == [(-1,), (1,)]
+            assert len(distinct_directions(seeded_directions(1, seed), 256, signed=False)) == 1
 
 
 def test_fraction_decimal_rendering():
