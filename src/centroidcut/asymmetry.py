@@ -199,7 +199,7 @@ def rho_at_point(poly: Polytope, x, cfg: SearchConfig | None = None) -> Asymmetr
                                  signed=False)
     screened = sorted(((fb.ratio(xf, np.array(d, dtype=float)), d) for d in sample),
                       key=lambda p: (-p[0], p[1]))
-    candidates += [d for _, d in screened[:1]]
+    candidates = distinct_directions(candidates + [d for _, d in screened[:1]], signed=False)
     witnesses = [(d, ratio_at(poly, xp, d)) for d in candidates]
 
     if n >= 2:
@@ -208,13 +208,12 @@ def rho_at_point(poly: Polytope, x, cfg: SearchConfig | None = None) -> Asymmetr
                    for th, _ in sorted(witnesses, key=lambda w: (-w[1], w[0]))[:cfg.multistart]]
         refined = [_rationalize_direction(_refine_direction(fb, xf, th0, cfg)) for th0 in starts]
         # evaluate the refined directions that are new up to sign
-        known = distinct_directions(candidates, signed=False)
-        for d in distinct_directions(known + refined, signed=False)[len(known):]:
+        for d in distinct_directions(candidates + refined, signed=False)[len(candidates):]:
             witnesses.append((d, ratio_at(poly, xp, d)))
 
     witnesses.sort(key=lambda w: (-w[1], w[0]))
     best_theta, best_ratio = witnesses[0]
-    report = AsymmetryReport(
+    return AsymmetryReport(
         point=xp,
         rho=float(best_ratio),
         rho_exact=best_ratio,
@@ -225,7 +224,6 @@ def rho_at_point(poly: Polytope, x, cfg: SearchConfig | None = None) -> Asymmetr
         exact_witnesses=tuple(witnesses[:8]),
         evaluations=len(witnesses),
     )
-    return report
 
 
 def rho_centroid(poly: Polytope, cfg: SearchConfig | None = None) -> AsymmetryReport:

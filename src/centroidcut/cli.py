@@ -16,7 +16,8 @@ from pathlib import Path
 from . import __version__
 from .asymmetry import SearchConfig, rho_centroid, rho_min
 from .errors import BadSpec, BadValue, CentroidCutError, DegenerateInput
-from .floating import DIRECTION_MODES, floating_body_approx, is_nonempty, phi_estimate
+from .floating import (DIRECTION_MODES, floating_body_approx, is_nonempty, phi_estimate,
+                       phi_from_rho_min)
 from .generators import BodySpec, GeneratedBody, make
 from .geometry import Polytope, as_fraction, format_fraction
 from .profiles import MomentSpec, brute_force_extremals, is_feasible, max_mu, min_mu
@@ -137,7 +138,7 @@ def cmd_phi(args) -> int:
     cfg = _search_config(args)
     estimate = phi_estimate(gen.body, cfg)
     payload = estimate.to_dict()
-    payload["phi_from_rho_min"] = 1.0 / (rho_min(gen.body, cfg).value + 1.0)
+    payload["phi_from_rho_min"] = phi_from_rho_min(gen.body, cfg)
     _emit(args, render_json(payload))
     return 0
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .asymmetry import SearchConfig, rho_centroid
+from .asymmetry import SearchConfig, rho_centroid, rho_min
 from .errors import BadDelta, BadValue
 from .feasibility import feasible_point
 from .geometry import (
@@ -52,20 +52,21 @@ BRACKET_BITS = 64
 _SNAP_DENOMS = (1, 4, 16, 256, 4096, 1 << 16, 1 << 24)
 
 
-def cut_depth(poly: Polytope, theta, delta) -> DepthCut:
-    """Depth t with vol(K ∩ {x·theta >= t}) = delta·vol(K), bracketed.
+def cut_depth(ev: CumulativeEvaluator, delta) -> DepthCut:
+    """Depth t with vol(K ∩ {x·theta >= t}) = delta·vol(K), bracketed, on the
+    evaluator of (K, theta), which the caller may hold across many delta.
 
-    Bisection runs on the exact monotone cumulative volume (with a floating
-    warm start) until the bracket width is below 2^-BRACKET_BITS of the support
-    width; simple rationals inside the bracket are then probed so that exact
-    solutions (the pyramid identities) come out as zero-width brackets.
+    After a floating warm start, the pieces of the cumulative volume that meet
+    its bracket are built, and bisection on their exact values runs until the
+    bracket width is below 2^-BRACKET_BITS of the support width; simple
+    rationals inside the bracket are then probed so that exact solutions (the
+    pyramid identities) come out as zero-width brackets.
     """
     delta = as_fraction(delta)
     if not (0 < delta <= Fraction(1, 2)):
         raise BadDelta(f"delta must lie in (0, 1/2], got {delta}")
-    ev = CumulativeEvaluator(poly, theta)
     th = primitive_direction(ev.theta)
-    target = (1 - delta) * poly.volume
+    target = (1 - delta) * ev.total
     lo, hi = ev.lo, ev.hi
     width = hi - lo
     goal = width / (1 << BRACKET_BITS)
@@ -82,6 +83,7 @@ def cut_depth(poly: Polytope, theta, delta) -> DepthCut:
     slack = (fhi - flo) or float(width) * 1e-12
     cand_lo = max(lo, Fraction(flo - 4 * slack))
     cand_hi = min(hi, Fraction(fhi + 4 * slack))
+    ev.build_pieces(cand_lo, cand_hi)
     if cand_lo < cand_hi and ev.value(cand_lo) <= target <= ev.value(cand_hi):
         lo, hi = cand_lo, cand_hi
 
@@ -142,11 +144,14 @@ def direction_budget(poly: Polytope, n_dirs: int | None, seed: int = 0,
     which must be at least 2n; n_dirs=None means no random fill.  The budget
     is a floor, not a cap: axes and facet normals are always kept.  facets:
     inward normals, whose complement cut points at the opposite side, where
-    the pyramid equality cases are tight at the centroid.
+    the pyramid equality cases are tight at the centroid.  Only auto mode
+    takes a budget.
     """
     n = poly.dim
     if mode not in DIRECTION_MODES:
         raise BadValue(f"direction mode must be one of {DIRECTION_MODES}, got {mode!r}")
+    if mode != "auto" and n_dirs is not None:
+        raise BadValue(f"a direction budget applies only to auto mode, not {mode!r}")
     axes = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
     if mode == "axes":
         return axes
@@ -166,14 +171,13 @@ def floating_body_approx(poly: Polytope, delta, n_dirs: int | None = None,
 
     `directions` takes only 'auto', 'axes' or 'facets'; in auto mode n_dirs
     is the budget, a floor of at least 2n, and n_dirs=None means no random
-    fill (see :func:`direction_budget`).
+    fill (see :func:`direction_budget`).  delta is checked by :func:`cut_depth`.
     """
     delta = as_fraction(delta)
-    if not (0 < delta <= Fraction(1, 2)):
-        raise BadDelta(f"delta must lie in (0, 1/2], got {delta}")
-    dirs = direction_budget(poly, n_dirs, seed, mode=directions)
-    cuts = tuple(cut_depth(poly, d, delta) for d in dirs)
-    return FloatingBodyApprox(delta=delta, source=poly, cuts=cuts)
+    evs = [CumulativeEvaluator(poly, d)
+           for d in direction_budget(poly, n_dirs, seed, mode=directions)]
+    return FloatingBodyApprox(delta=delta, source=poly,
+                              cuts=tuple(cut_depth(ev, delta) for ev in evs))
 
 
 def is_nonempty(approx: FloatingBodyApprox) -> tuple[bool, tuple[Fraction, ...] | None]:
@@ -188,9 +192,7 @@ def is_nonempty(approx: FloatingBodyApprox) -> tuple[bool, tuple[Fraction, ...] 
         return True, c
     system = [(tuple(Fraction(v) for v in cut.theta), cut.hi) for cut in approx.cuts]
     witness = feasible_point(system, approx.source.dim)
-    if witness is None:
-        return False, None
-    return True, witness
+    return witness is not None, witness
 
 
 PHI_ITERATIONS = 18  # delta bisection steps between delta_n and 1/2
@@ -217,8 +219,13 @@ class PhiEstimate:
 
 def phi_estimate(poly: Polytope, cfg: SearchConfig | None = None,
                  directions: str = "auto", n_dirs: int | None = None) -> PhiEstimate:
-    """Bracket phi(K): lower bound from the centroid ratio, upper bound from
-    nonemptiness bisection of the outer approximations over delta."""
+    """Bracket phi(K) by nonemptiness bisection of the outer approximations
+    over delta, with one evaluator per direction shared by every delta.
+
+    Only hi is certified, as an empty outer approximation proves K^delta
+    empty.  lo = 1/(rho+1) from the centroid ratio the search found, which is
+    at most rho(K, c); so lo >= d_K(c), an estimate, not a lower bound.
+    """
     cfg = cfg or SearchConfig()
     report = rho_centroid(poly, cfg)
     lo = 1.0 / (report.rho + 1.0)
@@ -226,10 +233,12 @@ def phi_estimate(poly: Polytope, cfg: SearchConfig | None = None,
     n = poly.dim
     if n_dirs is None and directions == "auto":
         n_dirs = max(2 * n, 16)
+    evs = [CumulativeEvaluator(poly, d)
+           for d in direction_budget(poly, n_dirs, cfg.seed, mode=directions)]
 
     def nonempty(d: Fraction) -> bool:
-        approx = floating_body_approx(poly, d, n_dirs=n_dirs, seed=cfg.seed,
-                                      directions=directions)
+        approx = FloatingBodyApprox(delta=d, source=poly,
+                                    cuts=tuple(cut_depth(ev, d) for ev in evs))
         return is_nonempty(approx)[0]
 
     half = Fraction(1, 2)
@@ -245,3 +254,8 @@ def phi_estimate(poly: Polytope, cfg: SearchConfig | None = None,
             infeasible = mid
     return PhiEstimate(lo=lo, hi=float(infeasible),
                        delta_feasible=feasible, delta_infeasible=infeasible)
+
+
+def phi_from_rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> float:
+    """1/(rho+1) at the point of least cut ratio that :func:`rho_min` found."""
+    return 1.0 / (rho_min(poly, cfg).value + 1.0)

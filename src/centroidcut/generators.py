@@ -214,47 +214,34 @@ def profile_body(spec: BodySpec) -> GeneratedBody:
     )
 
 
-_CACHE: dict[BodySpec, GeneratedBody] = {}
-
-
 def make(spec: BodySpec) -> GeneratedBody:
     """Build the body a spec describes, with exact metadata where known."""
-    cached = _CACHE.get(spec)
-    if cached is not None:
-        return cached
     n = spec.n
     if spec.kind == "simplex":
-        body = convex_hull(simplex_body(n))
-        out = GeneratedBody(
-            body=body, spec=spec, is_pyramid=True,
+        return GeneratedBody(
+            body=convex_hull(simplex_body(n)), spec=spec, is_pyramid=True,
             base_normal=tuple([-1] * n),  # toward the apex at the origin
             known_rho=rho_bound(n),
             known_centroid=tuple(Fraction(1, n + 1) for _ in range(n)),
             known_volume=Fraction(1, math.factorial(n)),
         )
-    elif spec.kind == "cube":
-        body = convex_hull(cube_body(n))
-        out = GeneratedBody(
-            body=body, spec=spec, known_rho=Fraction(1),
+    if spec.kind == "cube":
+        return GeneratedBody(
+            body=convex_hull(cube_body(n)), spec=spec, known_rho=Fraction(1),
             known_centroid=tuple(Fraction(1, 2) for _ in range(n)),
             known_volume=Fraction(1),
         )
-    elif spec.kind == "cross":
-        body = convex_hull(cross_body(n))
-        out = GeneratedBody(
-            body=body, spec=spec, known_rho=Fraction(1),
+    if spec.kind == "cross":
+        return GeneratedBody(
+            body=convex_hull(cross_body(n)), spec=spec, known_rho=Fraction(1),
             known_centroid=tuple(Fraction(0) for _ in range(n)),
             known_volume=Fraction(2**n, math.factorial(n)),
         )
-    elif spec.kind == "pyramid":
-        out = pyramid_body(spec)
-    elif spec.kind == "profile-body":
-        out = profile_body(spec)
-    else:
-        out = GeneratedBody(body=random_hull(n, spec.m, spec.seed), spec=spec)
-    _CACHE[spec] = out
-    return out
-
+    if spec.kind == "pyramid":
+        return pyramid_body(spec)
+    if spec.kind == "profile-body":
+        return profile_body(spec)
+    return GeneratedBody(body=random_hull(n, spec.m, spec.seed), spec=spec)
 
 
 def fleet_specs(count: int, dims: tuple[int, ...], seed: int) -> list[BodySpec]:

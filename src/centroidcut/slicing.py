@@ -78,13 +78,16 @@ def _cut_fraction(values, one):
 
 
 class CumulativeEvaluator:
-    """Repeated exact evaluations of t -> vol(K ∩ {x·theta <= t}).
+    """The exact kernel of one (body, direction): t -> vol(K ∩ {x·theta <= t}).
 
     Each vertex is projected once and scaled to the integer P_i = L x_i·theta,
     L the lcm of the projections' denominators.  For t = p/q the integers
     P_i q - L p are x_i·theta - t times L q > 0, which leaves the frustum
-    recursion run over each cell unchanged.  ``value_float`` runs the same
-    recurrence in floating point for search/bisection warm starts.
+    recursion run over each cell unchanged.  Between consecutive distinct
+    projections (the breakpoints) the cumulative volume is one polynomial of
+    degree <= n; a piece is interpolated from n+1 exact values on first use,
+    then answers ``value`` and the section functions on its closed interval.
+    ``value_float`` runs the recursion in floating point for warm starts.
     """
 
     def __init__(self, poly: Polytope, theta):
@@ -93,13 +96,14 @@ class CumulativeEvaluator:
         if all(c == 0 for c in self.theta):
             raise ValueError("direction must be nonzero")
         self.total = poly.volume
-        self.projections = [dot(self.theta, v) for v in poly.vertices]
-        self.lo = min(self.projections)
-        self.hi = max(self.projections)
-        self._scale = math.lcm(*(p.denominator for p in self.projections))
-        self._ints = [p.numerator * (self._scale // p.denominator) for p in self.projections]
-        self._fprojs = [float(p) for p in self.projections]
+        projections = [dot(self.theta, v) for v in poly.vertices]
+        self.breakpoints = sorted(set(projections))
+        self.lo, self.hi = self.breakpoints[0], self.breakpoints[-1]
+        self._scale = math.lcm(*(p.denominator for p in projections))
+        self._ints = [p.numerator * (self._scale // p.denominator) for p in projections]
+        self._fprojs = [float(p) for p in projections]
         self._fcells = [(float(vol), ids) for vol, ids in poly.cells]
+        self._pieces: dict[int, tuple[list[int], int]] = {}
 
     def value(self, t) -> Fraction:
         t = as_fraction(t)
@@ -107,6 +111,9 @@ class CumulativeEvaluator:
             return Fraction(0)
         if t >= self.hi:
             return self.total
+        piece = self._pieces.get(bisect.bisect_right(self.breakpoints, t) - 1)
+        if piece is not None:
+            return _poly_eval(piece, t)
         q, lp = t.denominator, self._scale * t.numerator
         vals = [p * q - lp for p in self._ints]
         acc = Fraction(0)
@@ -121,29 +128,56 @@ class CumulativeEvaluator:
             acc += vol * _cut_fraction([vals[i] for i in ids], 1.0)
         return acc
 
+    def _piece(self, i: int) -> tuple[list[int], int]:
+        """Piece i of the cumulative volume, on [breakpoints[i], breakpoints[i+1]],
+        as integer coefficients (low to high degree) over one common denominator."""
+        if i not in self._pieces:
+            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
+            step = (hi - lo) / (self.poly.dim + 2)
+            xs = [lo + (j + 1) * step for j in range(self.poly.dim + 1)]
+            coeffs = _newton_interp(xs, [self.value(x) for x in xs])
+            den = math.lcm(*(c.denominator for c in coeffs))
+            self._pieces[i] = ([c.numerator * (den // c.denominator) for c in coeffs], den)
+        return self._pieces[i]
 
-def cumulative_volume(poly: Polytope, theta, t) -> Fraction:
-    """Exact vol(K ∩ {x·theta <= t}); monotone nondecreasing in t."""
-    return CumulativeEvaluator(poly, theta).value(t)
+    def build_pieces(self, lo, hi) -> None:
+        """Build every piece that meets [lo, hi] inside the support."""
+        b = self.breakpoints
+        first = max(bisect.bisect_right(b, lo) - 1, 0)
+        last = min(bisect.bisect_left(b, hi), len(b) - 1)
+        for i in range(first, last):
+            self._piece(i)
 
+    def f_value(self, t) -> Fraction:
+        """Section value as the exact derivative of the cumulative volume.
 
-def support_interval(poly: Polytope, theta, ref) -> tuple[Fraction, Fraction]:
-    """Distances (a, b) from an interior reference point to the support ends.
+        Zero outside the support; at a breakpoint the piece on its left is
+        used (the right one at the lower end), which for n >= 2 is the
+        closed-slice value since f is continuous on the support.
+        """
+        t = as_fraction(t)
+        b = self.breakpoints
+        if t < b[0] or t > b[-1]:
+            return Fraction(0)
+        ints, den = self._piece(max(bisect.bisect_left(b, t) - 1, 0))
+        return _poly_eval(([k * c for k, c in enumerate(ints)][1:], den), t)
 
-    The section function along theta, centered at ref, is supported on
-    [-a, b]; both are positive for interior ref.
-    """
-    refp = as_point(ref)
-    if poly.contains(refp) is not Location.INTERIOR:
-        raise RefNotInterior("reference point must be strictly inside the body")
-    th = as_point(theta)
-    projs = [dot(th, v) for v in poly.vertices]
-    s0 = dot(th, refp)
-    return s0 - min(projs), max(projs) - s0
+    def mass(self) -> Fraction:
+        """Integral of f over the support, piece by piece; equals vol(K) exactly."""
+        b = self.breakpoints
+        return sum((_poly_eval(self._piece(i), b[i + 1]) - _poly_eval(self._piece(i), b[i])
+                    for i in range(len(b) - 1)), Fraction(0))
 
-
-# ---------------------------------------------------------------------------
-# exact piecewise polynomials of the section function
+    def moment(self, about) -> Fraction:
+        """Exact first moment of f about a projection value s0: by parts,
+        (hi - s0) vol(K) minus the integral of the cumulative volume."""
+        b = self.breakpoints
+        area = Fraction(0)
+        for i in range(len(b) - 1):
+            ints, den = self._piece(i)
+            area += sum(Fraction(c, (k + 1) * den) * (b[i + 1] ** (k + 1) - b[i] ** (k + 1))
+                        for k, c in enumerate(ints))
+        return (self.hi - as_fraction(about)) * self.total - area
 
 
 def _newton_interp(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
@@ -167,82 +201,45 @@ def _newton_interp(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
     return poly
 
 
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _poly_eval(piece: tuple[list[int], int], t: Fraction) -> Fraction:
+    """sum(ints[k] t^k) / den for piece = (ints, den), by Horner on the
+    integers p and q of t = p/q, so that only the result is normalized."""
+    ints, den = piece
+    p, q = t.numerator, t.denominator
+    acc, qk = 0, 1
+    for c in reversed(ints):
+        acc = acc * p + c * qk
+        qk *= q
+    return Fraction(acc, den * (qk // q))
 
 
-def _poly_derive(coeffs):
-    return [c * k for k, c in enumerate(coeffs)][1:] or [Fraction(0)]
+def cumulative_volume(poly: Polytope, theta, t) -> Fraction:
+    """Exact vol(K ∩ {x·theta <= t}); monotone nondecreasing in t."""
+    return CumulativeEvaluator(poly, theta).value(t)
 
 
-def _poly_antiderive(coeffs):
-    return [Fraction(0)] + [c / (k + 1) for k, c in enumerate(coeffs)]
+def support_interval(poly: Polytope, theta, ref) -> tuple[Fraction, Fraction]:
+    """Distances (a, b) from an interior reference point to the support ends.
 
-
-class SectionPolynomials:
-    """Exact polynomial pieces of cum(t) and f(t) along a direction.
-
-    Between consecutive distinct vertex projections the cumulative volume is a
-    single polynomial of degree <= n; each piece is recovered by exact
-    interpolation at n+1 interior rational nodes.
+    The section function along theta, centered at ref, is supported on
+    [-a, b]; both are positive for interior ref.
     """
-
-    def __init__(self, poly: Polytope, theta):
-        self.ev = CumulativeEvaluator(poly, theta)
-        n = poly.dim
-        breaks = sorted(set(self.ev.projections))
-        self.breakpoints: list[Fraction] = breaks
-        self.f_pieces: list[list[Fraction]] = []
-        for lo, hi in zip(breaks, breaks[1:]):
-            step = (hi - lo) / (n + 2)
-            xs = [lo + (j + 1) * step for j in range(n + 1)]
-            ys = [self.ev.value(x) for x in xs]
-            self.f_pieces.append(_poly_derive(_newton_interp(xs, ys)))
-
-    def f_value(self, t) -> Fraction:
-        """Section value as the exact derivative of the cumulative volume.
-
-        Zero outside the support; at a breakpoint the piece on its left is
-        used (the right one at the lower end), which for n >= 2 is the
-        closed-slice value since f is continuous on the support.
-        """
-        t = as_fraction(t)
-        b = self.breakpoints
-        if t < b[0] or t > b[-1]:
-            return Fraction(0)
-        i = max(bisect.bisect_left(b, t) - 1, 0)
-        return _poly_eval(self.f_pieces[i], t)
-
-    def _integral(self, pieces) -> Fraction:
-        acc = Fraction(0)
-        for lo, hi, p in zip(self.breakpoints, self.breakpoints[1:], pieces):
-            anti = _poly_antiderive(p)
-            acc += _poly_eval(anti, hi) - _poly_eval(anti, lo)
-        return acc
-
-    def mass(self) -> Fraction:
-        """Integral of f over the support; equals vol(K) exactly."""
-        return self._integral(self.f_pieces)
-
-    def moment(self, about) -> Fraction:
-        """Exact first moment of f about a projection value s0."""
-        s0 = as_fraction(about)
-        zero = [Fraction(0)]
-        # (t - s0) * f(t): shift the coefficients up one degree, subtract s0 * f
-        return self._integral([[a - s0 * b for a, b in zip(zero + f, f + zero)]
-                               for f in self.f_pieces])
+    refp = as_point(ref)
+    if poly.contains(refp) is not Location.INTERIOR:
+        raise RefNotInterior("reference point must be strictly inside the body")
+    th = as_point(theta)
+    projs = [dot(th, v) for v in poly.vertices]
+    s0 = dot(th, refp)
+    return s0 - min(projs), max(projs) - s0
 
 
 def section_value(poly: Polytope, theta, t) -> Fraction:
     """Slice measure f(t) of K at the hyperplane {x·theta = t}.
 
     Normalized so that the integral of f over raw projection values equals
-    vol(K); see :meth:`SectionPolynomials.f_value`.
+    vol(K); see :meth:`CumulativeEvaluator.f_value`.
     """
-    return SectionPolynomials(poly, theta).f_value(t)
+    return CumulativeEvaluator(poly, theta).f_value(t)
 
 
 def section_moment(poly: Polytope, theta, ref=None) -> Fraction:
@@ -251,8 +248,8 @@ def section_moment(poly: Polytope, theta, ref=None) -> Fraction:
     Zero (as a rational identity) when ref is the centroid.
     """
     refp = as_point(ref) if ref is not None else poly.centroid
-    sp = SectionPolynomials(poly, theta)
-    return sp.moment(dot(sp.ev.theta, refp))
+    ev = CumulativeEvaluator(poly, theta)
+    return ev.moment(dot(ev.theta, refp))
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +322,10 @@ def profile(poly: Polytope, theta, grid_size: int, ref=None) -> SectionProfile:
     a, b = support_interval(poly, th, refp)
     s0 = dot(th, refp)
     step = (a + b) / (grid_size - 1)
-    sp = SectionPolynomials(poly, th)
+    ev = CumulativeEvaluator(poly, th)
     samples = []
     for i in range(grid_size):
         t_rel = -a + i * step
-        samples.append((t_rel, sp.f_value(s0 + t_rel)))
+        samples.append((t_rel, ev.f_value(s0 + t_rel)))
     return SectionProfile(direction=th, ref=refp, a=a, b=b,
                           samples=tuple(samples), dim=poly.dim)

@@ -104,7 +104,6 @@ def check_pyramids(dims: tuple[int, ...] = (2, 3, 4), per_dim: int = 4,
     equality = InvariantResult("pyramid base-normal ratio == rho_n (exact)")
     apex = InvariantResult("apex-side fraction == delta_n (exact)")
     bases = ["cube", "simplex", "cross", "random-hull"]
-    count = 0
     for n in dims:
         for k in range(per_dim):
             spec = BodySpec(kind="pyramid", n=n, base=bases[k % len(bases)],
@@ -120,7 +119,6 @@ def check_pyramids(dims: tuple[int, ...] = (2, 3, 4), per_dim: int = 4,
             below = ev.value(dot(ev.theta, body.centroid))
             frac_apex = 1 - below / body.volume
             apex.record(frac_apex == delta_bound(n), f"pyramid n={n} #{k}: {frac_apex}")
-            count += 1
     return [equality, apex]
 
 

@@ -11,6 +11,7 @@ from centroidcut import (
     RefNotInterior,
     SearchConfig,
     affine_image,
+    convex_hull,
     cumulative_volume,
     delta_bound,
     ratio_at,
@@ -80,6 +81,10 @@ class TestRhoAtPoint:
     def test_cube_is_symmetric(self, cube3):
         report = rho_at_point(cube3, cube3.centroid, LIGHT)
         assert report.rho == pytest.approx(1.0, abs=1e-6)
+        # R^1 has one direction up to sign: the screened best is not a new witness
+        segment = convex_hull([(0,), (1,)])
+        report = rho_at_point(segment, segment.centroid, LIGHT)
+        assert [r for _, r in report.exact_witnesses] == [1] and report.evaluations == 1
 
     def test_report_meets_exact_candidates(self, square_pyramid):
         report = rho_at_point(square_pyramid, square_pyramid.centroid, LIGHT)

@@ -203,6 +203,8 @@ class TestInputErrors:
         ("rho", "--body", "cube", "--n", "7"),
         ("gen", "--kind", "profile-body", "--n", "2", "--profile", "[[null,1],[1,1]]"),
         ("floatbody", "--body", "square", "--delta", "1/4", "--budget", "2"),
+        ("floatbody", "--body", "square", "--delta", "1/4", "--dirs", "axes", "--budget", "8"),
+        ("floatbody", "--body", "square", "--delta", "1/4", "--dirs", "facets", "--budget", "8"),
     ])
     def test_exit_1(self, capsys, argv):
         code = main(list(argv))

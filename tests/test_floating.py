@@ -20,33 +20,41 @@ from centroidcut import (
     phi_estimate,
     rho_min,
 )
-from centroidcut import feasibility
+from centroidcut import feasibility, floating
 from centroidcut.feasibility import feasible_point
+from centroidcut.floating import direction_budget
 from centroidcut.generators import random_hull
 from centroidcut.geometry import dot
+from centroidcut.slicing import CumulativeEvaluator
 
 F = Fraction
 
 LIGHT = SearchConfig(random_directions=48, multistart=2, nm_maxiter=60)
 
 
+def depth(poly, theta, delta):
+    return cut_depth(CumulativeEvaluator(poly, theta), delta)
+
+
 class TestCutDepth:
     def test_square_quarter(self, square):
-        cut = cut_depth(square, (1, 0), F(1, 4))
+        cut = depth(square, (1, 0), F(1, 4))
         assert cut.lo == cut.hi == F(3, 4)
 
     def test_square_half(self, square):
-        cut = cut_depth(square, (1, 0), F(1, 2))
+        cut = depth(square, (1, 0), F(1, 2))
         assert cut.lo == cut.hi == F(1, 2)
 
     def test_pyramid_centroid_height(self, square_pyramid):
-        cut = cut_depth(square_pyramid, (0, 0, 1), F(27, 64))
+        cut = depth(square_pyramid, (0, 0, 1), F(27, 64))
         assert cut.lo == cut.hi == F(1, 4) == square_pyramid.centroid[2]
 
     @pytest.mark.parametrize("delta", [F(0), F(-1, 4), F(3, 5), F(2)])
     def test_bad_delta_rejected(self, square, delta):
         with pytest.raises(BadDelta):
-            cut_depth(square, (1, 0), delta)
+            depth(square, (1, 0), delta)
+        with pytest.raises(BadDelta):
+            floating_body_approx(square, delta, directions="axes")
 
     def test_bracket_certificate(self):
         """lo/hi straddle the exact depth: cum(lo) <= (1-delta)V <= cum(hi)."""
@@ -54,12 +62,27 @@ class TestCutDepth:
         delta = F(1, 3)
         target = (1 - delta) * body.volume
         for theta in [(1, 0, 0), (2, -3, 1), (1, 1, 1)]:
-            cut = cut_depth(body, theta, delta)
+            cut = depth(body, theta, delta)
             assert cumulative_volume(body, theta, cut.lo) <= target
             assert cumulative_volume(body, theta, cut.hi) >= target
             projs = [dot(theta, v) for v in body.vertices]
             width = max(projs) - min(projs)
             assert cut.hi - cut.lo <= width / (1 << 64)
+
+    def test_evaluator_shared_across_phi_deltas(self):
+        """One evaluator per direction over phi's delta sequence (delta_n, 1/2,
+        then bisection midpoints) gives the cuts of a fresh one per delta."""
+        body = random_hull(3, 9, 15)
+        deltas = [delta_bound(3), F(1, 2)]
+        feasible, infeasible = deltas
+        for step in range(6):
+            mid = (feasible + infeasible) / 2
+            deltas.append(mid)
+            feasible, infeasible = (mid, infeasible) if step % 2 else (feasible, mid)
+        for theta in [(1, 0, 0), (2, -3, 1), (-1, 1, 2)]:
+            shared = CumulativeEvaluator(body, theta)
+            for delta in deltas:
+                assert cut_depth(shared, delta) == depth(body, theta, delta), delta
 
 
 class TestFloatingBodyApprox:
@@ -236,6 +259,20 @@ class TestPhiEstimate:
         est = phi_estimate(body, LIGHT, n_dirs=12)
         value = 1.0 / (rho_min(body, LIGHT).value + 1.0)
         assert est.lo - 1e-9 <= value <= est.hi + 1e-6
+
+    def test_one_evaluator_per_direction(self, monkeypatch):
+        body = random_hull(3, 8, 5)
+        built = []
+
+        class Counted(CumulativeEvaluator):
+            def __init__(self, poly, theta):
+                built.append(tuple(theta))
+                super().__init__(poly, theta)
+
+        monkeypatch.setattr(floating, "CumulativeEvaluator", Counted)
+        est = phi_estimate(body, LIGHT, n_dirs=8)
+        assert est.delta_infeasible is not None  # the delta bisection ran
+        assert built == direction_budget(body, 8, LIGHT.seed)
 
     def test_gap_nonincreasing_in_budget_on_symmetric_body(self):
         # rotated rectangle: symmetric, so 1/(rho+1) = 1/2 exactly

@@ -134,7 +134,8 @@ class TestSpecs:
         assert [s.n for s in specs] == [2, 3, 4] * 3
         assert len({s.seed for s in specs}) == 9
 
-    def test_make_is_cached(self):
-        a = make(BodySpec(kind="cube", n=3))
-        b = make(BodySpec(kind="cube", n=3))
-        assert a is b
+    def test_make_is_deterministic(self):
+        a = make(BodySpec(kind="pyramid", n=3, base="random-hull", seed=5))
+        b = make(BodySpec(kind="pyramid", n=3, base="random-hull", seed=5))
+        assert a is not b and a.body.to_json() == b.body.to_json()
+        assert (a.base_normal, a.known_rho) == (b.base_normal, b.known_rho)

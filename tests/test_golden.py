@@ -24,6 +24,7 @@ COMMANDS = {
     "rho_min_simplex_n2.json": ["rho-min", "--body", "simplex", "--n", "2"],
     "phi_square.json": ["phi", "--body", "square"],
     "phi_simplex_n3.json": ["phi", "--body", "simplex", "--n", "3"],
+    "phi_random_n3.json": ["phi", "--body", "random", "--n", "3", "--seed", "0"],
     "floatbody_square_axes.json": ["floatbody", "--body", "square", "--delta", "1/4",
                                    "--dirs", "axes"],
     "floatbody_square_axes.csv": ["floatbody", "--body", "square", "--delta", "1/4",

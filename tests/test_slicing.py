@@ -20,7 +20,7 @@ from centroidcut import (
 )
 from centroidcut.generators import random_hull
 from centroidcut.geometry import dot
-from centroidcut.slicing import CumulativeEvaluator, SectionPolynomials
+from centroidcut.slicing import CumulativeEvaluator
 from oracles import Halfspace, clip_simplex, slice_hull_section
 
 F = Fraction
@@ -112,7 +112,8 @@ class TestCumulativeVolume:
 class TestIntegerScale:
     """CumulativeEvaluator.value, which runs the recurrence on integer vertex
     values, against the recurrence on the exact values x·theta - t summed
-    directly over poly.triangulation."""
+    directly over poly.triangulation; and the same after every polynomial
+    piece is built, when value evaluates the pieces instead."""
 
     @staticmethod
     def direct(poly, theta, t):
@@ -127,10 +128,16 @@ class TestIntegerScale:
         big = (1 << 64) - 59  # prime, so t keeps a 64-bit denominator factor
         ts += [projs[0] + (projs[-1] - projs[0]) * F(rng.randrange(1, big), big)
                for _ in range(4)]
+        built = CumulativeEvaluator(poly, theta)
+        built.build_pieces(built.lo, built.hi)
+        assert len(built._pieces) == len(projs) - 1
         for t in ts:
-            assert ev.value(t) == self.direct(poly, theta, t), t
+            exact = self.direct(poly, theta, t)
+            assert ev.value(t) == exact, t
+            assert built.value(t) == exact, t
+        assert not ev._pieces  # the one-shot evaluator never interpolated
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_hulls_rational_theta(self, n, seed):
         poly = random_hull(n, n + 5, 300 + seed)
@@ -163,12 +170,11 @@ class TestSectionValue:
     def test_matches_piecewise_derivative_exactly(self):
         body = random_hull(3, 9, 2024)
         theta = (3, -1, 2)
-        sp = SectionPolynomials(body, theta)
-        lo, hi = sp.breakpoints[0], sp.breakpoints[-1]
+        ev = CumulativeEvaluator(body, theta)
         for k in range(1, 12):
-            t = lo + F(k, 12) * (hi - lo)
-            assert sp.f_value(t) == slice_hull_section(body, theta, t)
-            assert section_value(body, theta, t) == sp.f_value(t)
+            t = ev.lo + F(k, 12) * (ev.hi - ev.lo)
+            assert ev.f_value(t) == slice_hull_section(body, theta, t)
+            assert section_value(body, theta, t) == ev.f_value(t)
 
     def test_one_dimensional_normalization(self):
         """The integral of f over projection values is the length: f = 1/|theta|."""
@@ -178,8 +184,8 @@ class TestSectionValue:
 
     def test_piecewise_mass_is_volume(self):
         body = random_hull(4, 8, 77)
-        sp = SectionPolynomials(body, (1, 2, -1, 1))
-        assert sp.mass() == body.volume
+        ev = CumulativeEvaluator(body, (1, 2, -1, 1))
+        assert ev.mass() == body.volume
 
 
 class TestSupportInterval:
