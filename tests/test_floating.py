@@ -180,6 +180,12 @@ class TestNonemptiness:
         assert len(approx.cuts) == 60 and not approx.contains_point(body.centroid)
         ok, witness = is_nonempty(approx)
         assert ok and all(dot(c.theta, witness) <= c.hi for c in approx.cuts)
+        # the simplex's exact witness, pinned so that a change of pivot rule shows
+        assert witness == (
+            F(-300635676404711772938431946273140081223, 289989920610112241193998719023077916672),
+            F(-95703706398149364066686666258181377219, 48331653435018706865666453170512986112),
+            F(995423047586084542808551086818124994943, 386653227480149654925331625364103888896),
+            F(-227503033272068187569, 73786976294838206464))
 
     def test_centroid_membership_at_delta_n(self):
         for seed, n in [(3, 2), (4, 3), (5, 4)]:

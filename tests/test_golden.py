@@ -1,10 +1,13 @@
 """Byte-for-byte CLI goldens: refactors must leave stdout unchanged.
 
 Each command runs in-process through ``cli.main``; its stdout is compared
-with the file of the same name under ``tests/golden``.  To regenerate the
-files (only when an output change is intended), run
+with the file of the same name under ``tests/golden``.  To regenerate
+goldens (only when an output change is intended), name them:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py floatbody_random_n3.json ...
+
+With no name every golden is rewritten; an unknown name exits nonzero
+before anything is written.
 """
 from __future__ import annotations
 
@@ -33,6 +36,9 @@ COMMANDS = {
                                   "--dirs", "axes", "--format", "svg"],
     "floatbody_random_n3.json": ["floatbody", "--body", "random", "--n", "3", "--m", "8",
                                  "--delta", "1/4", "--budget", "16"],
+    # the one golden whose witness comes from the simplex, not the centroid
+    "floatbody_random_n2_simplex.json": ["floatbody", "--body", "random", "--n", "2",
+                                         "--seed", "0", "--delta", "8117/18000"],
     "lemma5_n2.json": ["lemma5", "--M", "1/6", "--m", "0", "--n", "2", "--trials", "200"],
     "lemma5_n2.csv": ["lemma5", "--M", "1/6", "--m", "0", "--n", "2", "--trials", "200",
                       "--format", "csv"],
@@ -61,9 +67,13 @@ def test_stdout_matches_golden(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or sorted(COMMANDS)
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        sys.exit(f"unknown golden(s): {' '.join(unknown)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in COMMANDS.items():
-        code, out = run(argv)
+    for name in names:
+        code, out = run(COMMANDS[name])
         if code != 0:
             sys.exit(f"{name}: exit {code}")
         (GOLDEN_DIR / name).write_text(out)
