@@ -6,34 +6,40 @@
 
 has an optimum with s >= 0; its optimal x is the witness, a point with the
 largest common slack (capped at 1).  The program runs on a condensed (Tucker)
-tableau over rationals with nonnegative variables x = u - v, s = 1 - w0 and
-row slacks w_i.  One pivot of w0 on the row with the most negative b_i - 1
-makes the starting basis feasible, so no phase-I artificials are needed;
-Bland's rule (smallest label enters, ratio ties leave by smallest label)
-rules out cycling.  Rows are scaled to primitive integers first.
+tableau with nonnegative variables x = u - v, s = 1 - w0 and row slacks w_i.
+One pivot of w0 on the row with the most negative b_i - 1 makes the starting
+basis feasible, so no phase-I artificials are needed; Bland's rule (smallest
+label enters, ratio ties leave by smallest label) rules out cycling.
+
+Rows are scaled to primitive integers first, and the tableau stays integer:
+it holds integers over one positive common denominator, and each exchange is
+the fraction-free pivot of :func:`geometry.exchange`, so no rational is
+normalized until the witness is returned.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import as_fraction, dot, primitive_direction
+from .geometry import as_fraction, dot, exchange, primitive_direction
 
 
-def _pivot(rows: list[list[Fraction]], r: int, k: int) -> None:
+def _pivot(rows: list[list[int]], r: int, k: int, den: int) -> int:
     """Exchange the basic variable of row r with the nonbasic one of column k.
 
     Each row holds [constant, coefficient per nonbasic column] of the
-    dictionary basic = constant + sum(coefficient * nonbasic).
+    dictionary basic = constant + sum(coefficient * nonbasic), as integers
+    over the common denominator `den`.  Returns the new denominator.
     """
-    p = rows[r][k]
-    new = [-c / p if c else c for c in rows[r]]
-    new[k] = 1 / p
-    rows[r] = new
-    for i, row in enumerate(rows):
-        f = row[k]
-        if i != r and f:
-            rows[i] = [c + f * e if e else c for c, e in zip(row, new)]
-            rows[i][k] = f * new[k]
+    column = [row[k] for row in rows]
+    pivot_row = rows[r]
+    p = exchange(rows, r, k, den)
+    rows[r] = [-c for c in pivot_row]
+    for row, c in zip(rows, column):
+        row[k] = c
+    rows[r][k] = den
+    if p < 0:
+        rows[:] = [[-c for c in row] for row in rows]
+    return abs(p)
 
 
 def feasible_point(inequalities, n: int) -> tuple[Fraction, ...] | None:
@@ -62,31 +68,35 @@ def feasible_point(inequalities, n: int) -> tuple[Fraction, ...] | None:
     # order and the row slacks w_i come after them
     nonbasic = list(range(2 * n + 1))
     basic = [2 * n + 1 + i for i in range(len(a))]
-    rows = [[Fraction(bi - 1)] + [Fraction(-c) for c in ai] + [Fraction(c) for c in ai]
-            + [Fraction(1)] for ai, bi in zip(a, b)]
-    rows.append([Fraction(0)] * (2 * n + 1) + [Fraction(-1)])  # objective -w0
+    rows = [[bi - 1] + [-c for c in ai] + ai + [1] for ai, bi in zip(a, b)]
+    rows.append([0] * (2 * n + 1) + [-1])  # objective -w0
+    den = 1
     if b and min(b) < 1:
         r = b.index(min(b))
-        _pivot(rows, r, 2 * n + 1)
+        den = _pivot(rows, r, 2 * n + 1, den)
         basic[r], nonbasic[2 * n] = nonbasic[2 * n], basic[r]
     while True:
         entering = [k for k in range(1, 2 * n + 2) if rows[-1][k] > 0]
         if not entering:
             break
         k = min(entering, key=lambda j: nonbasic[j - 1])
-        # w0 >= 0 keeps s bounded, so some row always limits the entering variable
-        r = min((i for i in range(len(basic)) if rows[i][k] < 0),
-                key=lambda i: (rows[i][0] / -rows[i][k], basic[i]))
-        _pivot(rows, r, k)
+        # w0 >= 0 keeps s bounded, so some row always limits the entering
+        # variable; ratios rows[i][0] / -rows[i][k] compare crosswise
+        r = None
+        for i in range(len(basic)):
+            if rows[i][k] < 0 and (r is None or (rows[r][0] * rows[i][k], basic[i])
+                                   < (rows[i][0] * rows[r][k], basic[r])):
+                r = i
+        den = _pivot(rows, r, k, den)
         basic[r], nonbasic[k - 1] = nonbasic[k - 1], basic[r]
-    if rows[-1][0] < -1:  # s = 1 - w0 < 0
+    if rows[-1][0] < -den:  # s = 1 - w0 < 0
         return None
 
-    uv = [Fraction(0)] * (2 * n)
+    uv = [0] * (2 * n)
     for label, row in zip(basic, rows):
         if label < 2 * n:
             uv[label] = row[0]
-    x = tuple(u - v for u, v in zip(uv[:n], uv[n:]))
+    x = tuple(Fraction(u - v, den) for u, v in zip(uv[:n], uv[n:]))
     for i, (coeffs, rhs) in enumerate(system):
         if dot(coeffs, x) > rhs:
             raise RuntimeError(f"simplex witness {x} violates inequality {i}")

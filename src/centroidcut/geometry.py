@@ -97,92 +97,86 @@ def vscale(s, u) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# exact integer linear algebra (Bareiss)
+# exact integer linear algebra: one fraction-free pivot (Bareiss 1968)
+
+
+def exchange(rows: list[list[int]], r: int, k: int, prev: int) -> int:
+    """Integer-preserving pivot on rows[r][k]: every other row becomes
+    (row * p - row[k] * rows[r]) / prev, which zeroes column k.
+
+    `prev` is the previous pivot (1 at the start).  Every entry is then a
+    minor of the starting matrix, so the division is exact (Edmonds 1967).
+    Returns the pivot p.
+    """
+    p, pivot_row = rows[r][k], rows[r]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[k]
+            rows[i] = [(a * p - f * b) // prev for a, b in zip(row, pivot_row)]
+    return p
+
+
+def _gauss_jordan(rows: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
+    """Fraction-free Gauss-Jordan reduction of an integer matrix, in place.
+
+    Columns are taken left to right, each pivoting on its first unused row
+    with a nonzero entry.  Returns the (row, column) pivots and the last
+    pivot d: each pivot row then holds d in its own pivot column and 0 in the
+    others, and every other row is zero.
+    """
+    pivots: list[tuple[int, int]] = []
+    unused = list(range(len(rows)))
+    last = 1
+    for k in range(len(rows[0]) if rows else 0):
+        r = next((i for i in unused if rows[i][k]), None)
+        if r is not None:
+            last = exchange(rows, r, k, last)
+            pivots.append((r, k))
+            unused.remove(r)
+    return pivots, last
 
 
 def _det_int(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[-1][-1]
+    """Exact determinant of a square integer matrix (reduced in place): the
+    last pivot, signed by the parity of the pivot rows' order."""
+    pivots, last = _gauss_jordan(rows)
+    if len(pivots) < len(rows):
+        return 0
+    order = [r for r, _ in pivots]
+    inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+    return -last if inversions % 2 else last
 
 
 def det(rows) -> Fraction:
     """Exact determinant of a square rational matrix."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
+    scale = 1
     irows: list[list[int]] = []
     for row in rows:
         fr = [as_fraction(x) for x in row]
         mult = math.lcm(*(f.denominator for f in fr))
         scale *= mult
-        irows.append([int(f * mult) for f in fr])
-    return Fraction(_det_int(irows)) / scale
+        irows.append([f.numerator * (mult // f.denominator) for f in fr])
+    return Fraction(_det_int(irows), scale)
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix via exact elimination."""
-    m = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        piv = None
-        for i in range(row, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        for i in range(row + 1, len(m)):
-            if m[i][col] != 0:
-                f = m[i][col] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+def _normal(rows: list[list[int]]) -> tuple[int, ...] | None:
+    """Primitive integer vector spanning the kernel of an (n-1) x n integer
+    matrix (reduced in place), up to sign; None when the rank is below n-1.
 
-
-def _null_normal(ipts: list[tuple[int, ...]], comb: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Primitive integer normal of the hyperplane through n integer points.
-
-    Returns None when the points are affinely dependent.
+    With x_f = d on the one free column f, each pivot row (d in column k,
+    m in column f) gives x_k = -m.
     """
-    base = ipts[comb[0]]
-    rows = [[ipts[i][j] - base[j] for j in range(len(base))] for i in comb[1:]]
-    n = len(base)
-    cof = []
-    for k in range(n):
-        minor = [[row[j] for j in range(n) if j != k] for row in rows]
-        d = _det_int(minor) if minor else 1
-        cof.append(d if k % 2 == 0 else -d)
-    g = math.gcd(*cof)
-    if g == 0:
+    pivots, last = _gauss_jordan(rows)
+    n = len(rows[0])
+    if len(pivots) < n - 1:
         return None
-    return tuple(c // g for c in cof)
+    free = (set(range(n)) - {k for _, k in pivots}).pop()
+    x = [0] * n
+    x[free] = last
+    for r, k in pivots:
+        x[k] = -rows[r][free]
+    g = math.gcd(*x)
+    return tuple(c // g for c in x)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +224,11 @@ def _hull_facets(ipts: list[tuple[int, ...]], n: int):
     seen: set[tuple] = set()
     facets = []
     for comb in itertools.combinations(range(m), n):
-        normal = _null_normal(ipts, comb)
+        base = ipts[comb[0]]
+        normal = _normal([[a - b for a, b in zip(ipts[i], base)] for i in comb[1:]])
         if normal is None:
             continue
-        c = sum(a * b for a, b in zip(normal, ipts[comb[0]]))
+        c = sum(a * b for a, b in zip(normal, base))
         for j in range(n):
             if normal[j] != 0:
                 if normal[j] < 0:
@@ -273,6 +268,17 @@ def _integer_lift(points: list[Vec]) -> tuple[list[tuple[int, ...]], int]:
     denoms = [c.denominator for p in points for c in p]
     lcm = math.lcm(*denoms) if denoms else 1
     return [tuple(int(c * lcm) for c in p) for p in points], lcm
+
+
+def _lifted_facets(points: list[Vec]):
+    """The lift L of :func:`_integer_lift` for points spanning R^n, and the
+    facets of their hull as (outward primitive normal, offset * L, tight ids)."""
+    n = len(points[0])
+    ipts, lift = _integer_lift(points)
+    base = ipts[0]
+    if len(_gauss_jordan([[a - b for a, b in zip(p, base)] for p in ipts[1:]])[0]) < n:
+        raise DegenerateInput("points lie in a proper affine subspace")
+    return lift, _hull_facets(ipts, n) if n > 1 else _facets_1d(ipts)
 
 
 def primitive_direction(v) -> tuple[int, ...] | None:
@@ -342,11 +348,7 @@ def _triangulate(points: list[Vec], n: int, facets=None) -> list[tuple[int, ...]
             raise DegenerateInput("zero-length segment")
         return [(lo, hi)]
     if facets is None:
-        ipts, _ = _integer_lift(points)
-        base = ipts[0]
-        if _int_rank([[p[j] - base[j] for j in range(n)] for p in ipts[1:]]) < n:
-            raise DegenerateInput("points lie in a proper affine subspace")
-        facets = [(normal, tight) for normal, _, tight in _hull_facets(ipts, n)]
+        facets = [(normal, tight) for normal, _, tight in _lifted_facets(points)[1]]
     apex = 0
     simplices = []
     for normal, tight in facets:
@@ -483,18 +485,13 @@ def convex_hull(points) -> Polytope:
     if len(pts) < n + 1:
         raise DegenerateInput("need at least n+1 points for a full-dimensional body")
 
-    ipts, lift = _integer_lift(pts)
-    base = ipts[0]
-    if _int_rank([[p[j] - base[j] for j in range(n)] for p in ipts[1:]]) < n:
-        raise DegenerateInput("points lie in a proper affine subspace")
-
-    raw_facets = _hull_facets(ipts, n) if n > 1 else _facets_1d(ipts)
+    lift, raw_facets = _lifted_facets(pts)
 
     # vertices: points whose tight facet normals span R^n
     vertex_ids = set()
     for i in range(len(pts)):
         normals = [f[0] for f in raw_facets if i in f[2]]
-        if normals and _int_rank([list(g) for g in normals]) == n:
+        if normals and len(_gauss_jordan([list(g) for g in normals])[0]) == n:
             vertex_ids.add(i)
     vertex_pts = sorted(pts[i] for i in vertex_ids)
     index_of = {p: k for k, p in enumerate(vertex_pts)}

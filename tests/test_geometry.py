@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,9 @@ from centroidcut import (
 from centroidcut.generators import BodySpec, make, random_hull
 from centroidcut.errors import BadValue
 from centroidcut.geometry import (
+    _det_int,
+    _gauss_jordan,
+    _normal,
     as_point,
     det,
     distinct_directions,
@@ -201,6 +205,31 @@ def _perm_det(mat):
     return total
 
 
+def _int_matrix(rng, rows, cols):
+    """Random small integer matrix; one case in four each gets a zero row, a
+    repeated row, or a row combined from two others (so a rank drop)."""
+    mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+    kind = rng.randrange(4)
+    if rows > 1 and kind:
+        i, j, k = (rng.randrange(rows) for _ in range(3))
+        if kind == 1:
+            mat[i] = [0] * cols
+        elif kind == 2:
+            mat[i] = list(mat[j])
+        elif i not in (j, k):
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            mat[i] = [a * x + b * y for x, y in zip(mat[j], mat[k])]
+    return mat
+
+
+def _matrices(seed, shape):
+    rng = random.Random(seed)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows, cols = shape(rng, n)
+        yield _int_matrix(rng, rows, cols)
+
+
 class TestExactLinearAlgebra:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
@@ -208,6 +237,30 @@ class TestExactLinearAlgebra:
         mat = [[F(rnd.randint(-6, 6), rnd.randint(1, 3)) for _ in range(n)]
                for _ in range(n)]
         assert det(mat) == _perm_det(mat)
+
+    def test_rank_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for mat in _matrices(1, lambda rng, n: (rng.randint(1, n + 2), n)):
+            assert len(_gauss_jordan([list(r) for r in mat])[0]) == sympy.Matrix(mat).rank()
+
+    def test_signed_det_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for mat in _matrices(2, lambda rng, n: (n, n)):
+            assert _det_int([list(r) for r in mat]) == sympy.Matrix(mat).det()
+
+    def test_primitive_normal_matches_sympy_nullspace(self):
+        sympy = pytest.importorskip("sympy")
+        for mat in _matrices(3, lambda rng, n: (n, n + 1)):
+            normal = _normal([list(r) for r in mat])
+            kernel = sympy.Matrix(mat).nullspace()
+            if len(kernel) != 1:
+                assert normal is None
+                continue
+            v = kernel[0]
+            v = v * sympy.ilcm(*(c.q for c in v))
+            v = v / sympy.igcd(*(int(c) for c in v))
+            expected = tuple(int(c) for c in v)
+            assert normal in (expected, tuple(-c for c in expected))
 
 
 class TestSimplexType:
