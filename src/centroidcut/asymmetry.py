@@ -34,7 +34,7 @@ from .geometry import (
     seeded_directions,
     vsub,
 )
-from .slicing import CumulativeEvaluator, _cut_fraction
+from .slicing import CumulativeEvaluator, float_cut_volume
 
 
 def rho_bound(n: int) -> Fraction:
@@ -132,11 +132,7 @@ class _FloatBody:
         nrm = float(np.linalg.norm(theta))
         if nrm == 0.0 or not np.isfinite(nrm):
             return math.inf
-        t = float(theta @ x)
-        projs = self.verts @ theta
-        below = 0.0
-        for vol, ids in self.cells:
-            below += vol * _cut_fraction([projs[i] - t for i in ids], 1.0)
+        below = float_cut_volume(self.cells, self.verts @ theta - float(theta @ x))
         above = self.total - below
         if below <= 0.0 or above <= 0.0:
             return math.inf

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -108,8 +109,8 @@ def resolve_body(args) -> GeneratedBody:
 
 
 def _search_config(args) -> SearchConfig:
-    if args.tol <= 0:
-        raise BadSpec(f"tolerance must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        raise BadSpec(f"tolerance must be finite and positive, got {args.tol}")
     return SearchConfig(seed=args.seed, tol=args.tol)
 
 

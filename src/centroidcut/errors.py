@@ -22,7 +22,8 @@ class BadSpec(CentroidCutError):
 
 
 class BadValue(CentroidCutError, ValueError):
-    """Unparseable number, dimension above the hull cap or budget below 2n."""
+    """Unparseable number, dimension above the hull cap, budget below 2n or a
+    count below 1."""
 
 
 class Infeasible(CentroidCutError):

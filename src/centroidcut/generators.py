@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .asymmetry import rho_bound
-from .errors import BadSpec, DegenerateInput
+from .errors import BadSpec, BadValue, DegenerateInput
 from .geometry import Polytope, Vec, as_fraction, as_point, convex_hull
 
 _BODY_KINDS = ("simplex", "cube", "cross", "pyramid", "random-hull", "profile-body")
@@ -246,6 +246,8 @@ def make(spec: BodySpec) -> GeneratedBody:
 
 def fleet_specs(count: int, dims: tuple[int, ...], seed: int) -> list[BodySpec]:
     """Deterministic random-hull fleet spread over the requested dimensions."""
+    if count < 1:
+        raise BadValue(f"body count must be positive, got {count}")
     specs = []
     for i in range(count):
         n = dims[i % len(dims)]

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadSpec, Infeasible
+from .errors import BadSpec, BadValue, Infeasible
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -243,6 +243,8 @@ def _shape_batch(grid_size: int, trials: int, seed: int) -> np.ndarray:
     sorted-slope shapes; rejection rounds repeat until at least `trials`
     shapes survive the nonnegativity filter.
     """
+    if grid_size < 1 or trials < 1:
+        raise BadValue(f"grid size and trials must be positive, got {grid_size} and {trials}")
     rng = np.random.default_rng(seed)
     rounds = [_shape_round(grid_size, trials, rng)]
     total = rounds[0].shape[0]
@@ -290,8 +292,8 @@ def brute_force_extremals(spec: MomentSpec, grid_size: int = 200,
     """
     if not is_feasible(spec):
         raise Infeasible(f"no concave profile for {spec}")
-    grid = np.linspace(0.0, 1.0, grid_size + 1)
     rand = _shape_batch(grid_size, trials, seed)
+    grid = np.linspace(0.0, 1.0, grid_size + 1)
     swept = _affine_sweeps(spec)
     swept_grid = np.array([0.0, 1.0])
 
@@ -376,8 +378,8 @@ def claim4_certificate(n: int, grid_size: int = 64, trials: int = 10000,
     h vanishing at the left endpoint must achieve it.
     """
     rho_n = float((1 + Fraction(1, n)) ** n - 1)
-    grid = np.linspace(0.0, 1.0, grid_size + 1)
     batch = _shape_batch(grid_size, trials, seed)
+    grid = np.linspace(0.0, 1.0, grid_size + 1)
 
     t0, t1 = grid[:-1][None, :], grid[1:][None, :]
     masses = _segment_quad(t0, t1, batch[:, :-1], batch[:, 1:], n, False)

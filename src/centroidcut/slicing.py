@@ -73,6 +73,16 @@ def _cut_fraction(values, one):
     return row[-1]
 
 
+def float_cut_volume(cells, vals) -> float:
+    """Floating-point volume below a cut: the frustum recursion in floats,
+    summed over (float volume, vertex ids) cells, from each vertex's value
+    x_i·theta - t.  Only the float searches and warm starts use it."""
+    acc = 0.0
+    for vol, ids in cells:
+        acc += vol * _cut_fraction([vals[i] for i in ids], 1.0)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # cumulative volume along a direction
 
@@ -122,11 +132,7 @@ class CumulativeEvaluator:
         return acc
 
     def value_float(self, t: float) -> float:
-        vals = [p - t for p in self._fprojs]
-        acc = 0.0
-        for vol, ids in self._fcells:
-            acc += vol * _cut_fraction([vals[i] for i in ids], 1.0)
-        return acc
+        return float_cut_volume(self._fcells, [p - t for p in self._fprojs])
 
     def _piece(self, i: int) -> tuple[list[int], int]:
         """Piece i of the cumulative volume, on [breakpoints[i], breakpoints[i+1]],

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .asymmetry import SearchConfig, delta_bound, ratio_at, rho_bound, rho_centroid
+from .errors import BadValue
 from .floating import floating_body_approx
 from .generators import BodySpec, fleet_specs, make
 from .geometry import Polytope, dot, seeded_directions
@@ -62,6 +63,8 @@ def check_bound(bodies: list[Polytope], cfg: SearchConfig | None = None,
     exact = InvariantResult("exact witnesses <= rho_n (rational)")
     ratio = InvariantResult("support ratio a/b in [1/n, n]")
     concave = InvariantResult("midpoint concavity of h")
+    if support_dirs < 1:
+        raise BadValue(f"support direction count must be positive, got {support_dirs}")
     for i, body in enumerate(bodies):
         n = body.dim
         rn = rho_bound(n)

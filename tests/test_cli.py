@@ -205,6 +205,17 @@ class TestInputErrors:
         ("floatbody", "--body", "square", "--delta", "1/4", "--budget", "2"),
         ("floatbody", "--body", "square", "--delta", "1/4", "--dirs", "axes", "--budget", "8"),
         ("floatbody", "--body", "square", "--delta", "1/4", "--dirs", "facets", "--budget", "8"),
+        # counts below 1, rejected where they are first used
+        ("verify", "--suite", "bound", "--bodies", "1", "--dims", "2", "--support-dirs", "-1"),
+        ("verify", "--suite", "bound", "--bodies", "-2"),
+        ("verify", "--suite", "lemma5", "--trials", "-1"),
+        ("verify", "--suite", "claim4", "--trials", "-1"),
+        ("lemma5", "--M", "1", "--m", "0", "--n", "2", "--grid", "0", "--trials", "10"),
+        ("lemma5", "--M", "1", "--m", "0", "--n", "2", "--grid", "-3", "--trials", "10"),
+        # a Nelder-Mead tolerance must be finite and positive
+        ("rho", "--body", "square", "--tol", "nan"),
+        ("rho-min", "--body", "square", "--tol", "inf"),
+        ("phi", "--body", "square", "--tol=-inf"),
     ])
     def test_exit_1(self, capsys, argv):
         code = main(list(argv))
