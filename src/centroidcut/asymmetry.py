@@ -132,7 +132,7 @@ class _FloatBody:
         nrm = float(np.linalg.norm(theta))
         if nrm == 0.0 or not np.isfinite(nrm):
             return math.inf
-        below = float_cut_volume(self.cells, self.verts @ theta - float(theta @ x))
+        below = float_cut_volume(self.cells, (self.verts @ theta - float(theta @ x)).tolist())
         above = self.total - below
         if below <= 0.0 or above <= 0.0:
             return math.inf

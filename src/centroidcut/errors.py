@@ -22,8 +22,7 @@ class BadSpec(CentroidCutError):
 
 
 class BadValue(CentroidCutError, ValueError):
-    """Unparseable number, dimension above the hull cap, budget below 2n or a
-    count below 1."""
+    """Unparseable number, dimension above the cap, budget below 2n or count below 1."""
 
 
 class Infeasible(CentroidCutError):

@@ -11,35 +11,15 @@ One pivot of w0 on the row with the most negative b_i - 1 makes the starting
 basis feasible, so no phase-I artificials are needed; Bland's rule (smallest
 label enters, ratio ties leave by smallest label) rules out cycling.
 
-Rows are scaled to primitive integers first, and the tableau stays integer:
-it holds integers over one positive common denominator, and each exchange is
-the fraction-free pivot of :func:`geometry.exchange`, so no rational is
-normalized until the witness is returned.
+Rows are scaled to primitive integers first.  The tableau holds integers
+over one positive common denominator, and each exchange is the fraction-free
+pivot of :func:`geometry.exchange`, so only the witness is a rational.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .geometry import as_fraction, dot, exchange, primitive_direction
-
-
-def _pivot(rows: list[list[int]], r: int, k: int, den: int) -> int:
-    """Exchange the basic variable of row r with the nonbasic one of column k.
-
-    Each row holds [constant, coefficient per nonbasic column] of the
-    dictionary basic = constant + sum(coefficient * nonbasic), as integers
-    over the common denominator `den`.  Returns the new denominator.
-    """
-    column = [row[k] for row in rows]
-    pivot_row = rows[r]
-    p = exchange(rows, r, k, den)
-    rows[r] = [-c for c in pivot_row]
-    for row, c in zip(rows, column):
-        row[k] = c
-    rows[r][k] = den
-    if p < 0:
-        rows[:] = [[-c for c in row] for row in rows]
-    return abs(p)
 
 
 def feasible_point(inequalities, n: int) -> tuple[Fraction, ...] | None:
@@ -70,16 +50,26 @@ def feasible_point(inequalities, n: int) -> tuple[Fraction, ...] | None:
     basic = [2 * n + 1 + i for i in range(len(a))]
     rows = [[bi - 1] + [-c for c in ai] + ai + [1] for ai, bi in zip(a, b)]
     rows.append([0] * (2 * n + 1) + [-1])  # objective -w0
-    den = 1
-    if b and min(b) < 1:
-        r = b.index(min(b))
-        den = _pivot(rows, r, 2 * n + 1, den)
-        basic[r], nonbasic[2 * n] = nonbasic[2 * n], basic[r]
+    r, k = (b.index(min(b)), 2 * n + 1) if b and min(b) < 1 else (None, None)
+    den = 1  # the tableau is rows / den
     while True:
-        entering = [k for k in range(1, 2 * n + 2) if rows[-1][k] > 0]
+        if r is not None:
+            # exchange zeroes column k; the Tucker step keeps it over the new
+            # denominator p and turns the pivot row into -row, with den at k
+            column, pivot_row = [row[k] for row in rows], rows[r]
+            p = exchange(rows, r, k, den)
+            rows[r] = [-c for c in pivot_row]
+            for row, c in zip(rows, column):
+                row[k] = c
+            rows[r][k] = den
+            if p < 0:
+                rows[:] = [[-c for c in row] for row in rows]
+            den = abs(p)
+            basic[r], nonbasic[k - 1] = nonbasic[k - 1], basic[r]
+        entering = [(nonbasic[j - 1], j) for j in range(1, 2 * n + 2) if rows[-1][j] > 0]
         if not entering:
             break
-        k = min(entering, key=lambda j: nonbasic[j - 1])
+        k = min(entering)[1]
         # w0 >= 0 keeps s bounded, so some row always limits the entering
         # variable; ratios rows[i][0] / -rows[i][k] compare crosswise
         r = None
@@ -87,8 +77,6 @@ def feasible_point(inequalities, n: int) -> tuple[Fraction, ...] | None:
             if rows[i][k] < 0 and (r is None or (rows[r][0] * rows[i][k], basic[i])
                                    < (rows[i][0] * rows[r][k], basic[r])):
                 r = i
-        den = _pivot(rows, r, k, den)
-        basic[r], nonbasic[k - 1] = nonbasic[k - 1], basic[r]
     if rows[-1][0] < -den:  # s = 1 - w0 < 0
         return None
 

@@ -116,8 +116,9 @@ def exchange(rows: list[list[int]], r: int, k: int, prev: int) -> int:
     return p
 
 
-def _gauss_jordan(rows: list[list[int]]) -> tuple[list[tuple[int, int]], int]:
-    """Fraction-free Gauss-Jordan reduction of an integer matrix, in place.
+def _gauss_jordan(rows: list) -> tuple[list[tuple[int, int]], int]:
+    """Fraction-free Gauss-Jordan reduction of an integer matrix, in place
+    (the list's rows are replaced, never mutated).
 
     Columns are taken left to right, each pivoting on its first unused row
     with a nonzero entry.  Returns the (row, column) pivots and the last
@@ -142,21 +143,14 @@ def _det_int(rows: list[list[int]]) -> int:
     pivots, last = _gauss_jordan(rows)
     if len(pivots) < len(rows):
         return 0
-    order = [r for r, _ in pivots]
-    inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+    inversions = sum(a > b for (a, _), (b, _) in itertools.combinations(pivots, 2))
     return -last if inversions % 2 else last
 
 
 def det(rows) -> Fraction:
     """Exact determinant of a square rational matrix."""
-    scale = 1
-    irows: list[list[int]] = []
-    for row in rows:
-        fr = [as_fraction(x) for x in row]
-        mult = math.lcm(*(f.denominator for f in fr))
-        scale *= mult
-        irows.append([f.numerator * (mult // f.denominator) for f in fr])
-    return Fraction(_det_int(irows), scale)
+    ints, lift = _integer_lift([as_point(row) for row in rows])
+    return Fraction(_det_int(ints), lift ** len(ints))
 
 
 def _normal(rows: list[list[int]]) -> tuple[int, ...] | None:
@@ -212,7 +206,7 @@ class Simplex:
 # facet enumeration
 
 
-def _hull_facets(ipts: list[tuple[int, ...]], n: int):
+def _hull_facets(ipts: list[tuple[int, ...]]):
     """All facets of conv(ipts) as (outward primitive normal, offset, tight ids).
 
     Brute force over n-subsets: each affinely independent subset spans a
@@ -220,7 +214,7 @@ def _hull_facets(ipts: list[tuple[int, ...]], n: int):
     (weakly) on one side.  Candidate hyperplanes are deduplicated before the
     one-sidedness scan.
     """
-    m = len(ipts)
+    m, n = len(ipts), len(ipts[0])
     seen: set[tuple] = set()
     facets = []
     for comb in itertools.combinations(range(m), n):
@@ -278,7 +272,7 @@ def _lifted_facets(points: list[Vec]):
     base = ipts[0]
     if len(_gauss_jordan([[a - b for a, b in zip(p, base)] for p in ipts[1:]])[0]) < n:
         raise DegenerateInput("points lie in a proper affine subspace")
-    return lift, _hull_facets(ipts, n) if n > 1 else _facets_1d(ipts)
+    return lift, _hull_facets(ipts) if n > 1 else _facets_1d(ipts)
 
 
 def primitive_direction(v) -> tuple[int, ...] | None:
@@ -491,7 +485,7 @@ def convex_hull(points) -> Polytope:
     vertex_ids = set()
     for i in range(len(pts)):
         normals = [f[0] for f in raw_facets if i in f[2]]
-        if normals and len(_gauss_jordan([list(g) for g in normals])[0]) == n:
+        if normals and len(_gauss_jordan(normals)[0]) == n:
             vertex_ids.add(i)
     vertex_pts = sorted(pts[i] for i in vertex_ids)
     index_of = {p: k for k, p in enumerate(vertex_pts)}
