@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import RefNotInterior
 from .geometry import (
@@ -155,6 +154,7 @@ def _tangent_basis(theta: np.ndarray) -> np.ndarray:
 
 def _refine_direction(fb: _FloatBody, x: np.ndarray, theta0: np.ndarray,
                       cfg: SearchConfig) -> np.ndarray:
+    from scipy.optimize import minimize  # loaded only where a search runs
     base = theta0 / np.linalg.norm(theta0)
     tb = _tangent_basis(base)
 
@@ -167,12 +167,12 @@ def _refine_direction(fb: _FloatBody, x: np.ndarray, theta0: np.ndarray,
     return base + tb @ res.x
 
 
-def _rationalize_direction(theta: np.ndarray, max_den: int = 10**6) -> list[Fraction]:
+def _rationalize_direction(theta: np.ndarray) -> list[Fraction]:
     """A nearby rational vector; the zero vector when theta is zero or not finite."""
     scale = float(np.max(np.abs(theta)))
     if scale == 0.0 or not np.isfinite(scale):
         return [Fraction(0)] * theta.size
-    return [Fraction(float(c / scale)).limit_denominator(max_den) for c in theta]
+    return [Fraction(float(c / scale)).limit_denominator(10**6) for c in theta]
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +271,7 @@ def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
             return math.inf
         return max(fb.ratio(xf, th) for th in dirs_f)
 
+    from scipy.optimize import minimize
     x0 = np.array([float(c) for c in poly.centroid])
     res = minimize(objective, x0, method="Nelder-Mead",
                    options={"maxiter": cfg.nm_maxiter * n, "xatol": 1e-10,

@@ -26,6 +26,7 @@ _BASE_KINDS = ("cube", "simplex", "cross", "random-hull")
 
 RANDOM_COORD_RANGE = 16
 RANDOM_DENOM_CAP = 8  # well under the 2^16 blowup guard
+RANDOM_HULL_ATTEMPTS = 100  # seeded draws before random_hull gives up
 
 
 @dataclass(frozen=True)
@@ -113,11 +114,11 @@ def cross_body(n: int) -> list[Vec]:
     return pts
 
 
-def random_hull(n: int, m: int, seed: int, attempts: int = 100) -> Polytope:
+def random_hull(n: int, m: int, seed: int) -> Polytope:
     """Hull of m seeded points with small-denominator rational coordinates."""
     rng = random.Random(seed)
     last_error: Exception | None = None
-    for _ in range(attempts):
+    for _ in range(RANDOM_HULL_ATTEMPTS):
         pts = [
             tuple(Fraction(rng.randint(-RANDOM_COORD_RANGE, RANDOM_COORD_RANGE),
                            rng.randint(1, RANDOM_DENOM_CAP)) for _ in range(n))
@@ -127,7 +128,8 @@ def random_hull(n: int, m: int, seed: int, attempts: int = 100) -> Polytope:
             return convex_hull(pts)
         except DegenerateInput as exc:
             last_error = exc
-    raise DegenerateInput(f"no full-dimensional draw in {attempts} attempts: {last_error}")
+    raise DegenerateInput(
+        f"no full-dimensional draw in {RANDOM_HULL_ATTEMPTS} attempts: {last_error}")
 
 
 def _base_points(kind: str, n_base: int, seed: int, m: int) -> list[Vec]:

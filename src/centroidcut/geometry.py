@@ -1,10 +1,11 @@
 """Exact rational geometry for convex polytopes in low dimension.
 
 Everything here is computed over arbitrary-precision rationals
-(``fractions.Fraction``); no floating point enters any predicate, volume or
-centroid.  The hull is found by brute-force facet enumeration over n-subsets
-of the input points, which is robust and exactly reproducible at desk scale
-(a few dozen points, dimension <= 6).
+(``fractions.Fraction``) and integers; no floating point enters any
+predicate, volume or centroid.  The hull's facets are the extreme rays of
+one integer cone, found by a double-description pass with no general-position
+assumption; its work grows with the rays met on the way, not with the
+C(m, n) subsets of the m input points.
 """
 from __future__ import annotations
 
@@ -206,55 +207,61 @@ class Simplex:
 # facet enumeration
 
 
+def _affine_basis(pts: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Positions of the greedy (so lexicographically first) affine basis of
+    `pts`: 0 and the Gauss-Jordan pivot columns of the differences to pts[0]."""
+    cols = [[p[j] - b for p in pts[1:]] for j, b in enumerate(pts[0])]
+    return (0,) + tuple(k + 1 for _, k in _gauss_jordan(cols)[0])
+
+
 def _hull_facets(ipts: list[tuple[int, ...]]):
     """All facets of conv(ipts) as (outward primitive normal, offset, tight ids).
 
-    Brute force over n-subsets: each affinely independent subset spans a
-    candidate hyperplane; a hyperplane is a facet support iff every point lies
-    (weakly) on one side.  Candidate hyperplanes are deduplicated before the
-    one-sidedness scan.
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): the
+    facets (a, -c) are the extreme rays of the cone {y : y·(p, 1) <= 0 for
+    every point p}.  The pass starts from the simplicial cone of the greedy
+    affine basis and adds the other points in index order, keeping the rays
+    on each new point's side and joining every adjacent pair across it: two
+    rays are adjacent when their common zero set (a bit mask of point ids)
+    has at least n-1 points and lies in no third ray's zero set.
+
+    The facets come in the order of each facet's greedy affine basis, which
+    is the order in which a lexicographic scan of n-subsets meets them.
+    Raises DegenerateInput when the points lie in a proper affine subspace.
     """
-    m, n = len(ipts), len(ipts[0])
-    seen: set[tuple] = set()
+    n = len(ipts[0])
+    start = _affine_basis(ipts)
+    if len(start) <= n:
+        raise DegenerateInput("points lie in a proper affine subspace")
+    lifted = [p + (1,) for p in ipts]
+    rays = []  # (primitive y, zero set)
+    for i in start:
+        y = _normal([list(lifted[j]) for j in start if j != i])
+        if sum(a * b for a, b in zip(y, lifted[i])) > 0:
+            y = tuple(-a for a in y)
+        rays.append((y, sum(1 << j for j in start if j != i)))
+    for i in sorted(set(range(len(ipts))) - set(start)):
+        bit = 1 << i
+        vals = [sum(a * b for a, b in zip(y, lifted[i])) for y, _ in rays]
+        minus = [b for b, v in enumerate(vals) if v < 0]
+        kept = [(y, z | bit if v == 0 else z) for (y, z), v in zip(rays, vals) if v <= 0]
+        for a in (a for a, v in enumerate(vals) if v > 0):
+            for b in minus:
+                common = rays[a][1] & rays[b][1]
+                if common.bit_count() < n - 1 or any(
+                        common & z == common for k, (_, z) in enumerate(rays) if k not in (a, b)):
+                    continue
+                y = [vals[a] * s - vals[b] * t for s, t in zip(rays[b][0], rays[a][0])]
+                g = math.gcd(*y)
+                kept.append((tuple(c // g for c in y), common | bit))
+        rays = kept
     facets = []
-    for comb in itertools.combinations(range(m), n):
-        base = ipts[comb[0]]
-        normal = _normal([[a - b for a, b in zip(ipts[i], base)] for i in comb[1:]])
-        if normal is None:
-            continue
-        c = sum(a * b for a, b in zip(normal, base))
-        for j in range(n):
-            if normal[j] != 0:
-                if normal[j] < 0:
-                    key = (tuple(-a for a in normal), -c)
-                else:
-                    key = (normal, c)
-                break
-        if key in seen:
-            continue
-        seen.add(key)
-        above = below = False
-        for p in ipts:
-            v = sum(a * b for a, b in zip(normal, p)) - c
-            if v > 0:
-                above = True
-                if below:
-                    break
-            elif v < 0:
-                below = True
-                if above:
-                    break
-        if above and below:
-            continue
-        if above:  # orient outward: keep normal·x <= offset
-            normal = tuple(-a for a in normal)
-            c = -c
-        tight = tuple(
-            i for i, p in enumerate(ipts)
-            if sum(a * b for a, b in zip(normal, p)) == c
-        )
-        facets.append((normal, c, tight))
-    return facets
+    for y, z in rays:
+        tight = tuple(i for i in range(len(ipts)) if z >> i & 1)
+        basis = tuple(tight[k] for k in _affine_basis([ipts[i] for i in tight]))
+        facets.append((basis, (y[:n], -y[n], tight)))
+    facets.sort()
+    return [f for _, f in facets]
 
 
 def _integer_lift(points: list[Vec]) -> tuple[list[tuple[int, ...]], int]:
@@ -262,17 +269,6 @@ def _integer_lift(points: list[Vec]) -> tuple[list[tuple[int, ...]], int]:
     denoms = [c.denominator for p in points for c in p]
     lcm = math.lcm(*denoms) if denoms else 1
     return [tuple(int(c * lcm) for c in p) for p in points], lcm
-
-
-def _lifted_facets(points: list[Vec]):
-    """The lift L of :func:`_integer_lift` for points spanning R^n, and the
-    facets of their hull as (outward primitive normal, offset * L, tight ids)."""
-    n = len(points[0])
-    ipts, lift = _integer_lift(points)
-    base = ipts[0]
-    if len(_gauss_jordan([[a - b for a, b in zip(p, base)] for p in ipts[1:]])[0]) < n:
-        raise DegenerateInput("points lie in a proper affine subspace")
-    return lift, _hull_facets(ipts) if n > 1 else _facets_1d(ipts)
 
 
 def primitive_direction(v) -> tuple[int, ...] | None:
@@ -342,7 +338,7 @@ def _triangulate(points: list[Vec], n: int, facets=None) -> list[tuple[int, ...]
             raise DegenerateInput("zero-length segment")
         return [(lo, hi)]
     if facets is None:
-        facets = [(normal, tight) for normal, _, tight in _lifted_facets(points)[1]]
+        facets = [(normal, tight) for normal, _, tight in _hull_facets(_integer_lift(points)[0])]
     apex = 0
     simplices = []
     for normal, tight in facets:
@@ -479,7 +475,8 @@ def convex_hull(points) -> Polytope:
     if len(pts) < n + 1:
         raise DegenerateInput("need at least n+1 points for a full-dimensional body")
 
-    lift, raw_facets = _lifted_facets(pts)
+    ipts, lift = _integer_lift(pts)
+    raw_facets = _hull_facets(ipts)
 
     # vertices: points whose tight facet normals span R^n
     vertex_ids = set()
@@ -519,14 +516,6 @@ def convex_hull(points) -> Polytope:
     if poly.contains(centroid) is not Location.INTERIOR:
         raise DegenerateInput("centroid not strictly interior")
     return poly
-
-
-def _facets_1d(ipts):
-    lo = min(range(len(ipts)), key=lambda i: ipts[i])
-    hi = max(range(len(ipts)), key=lambda i: ipts[i])
-    lo_t = tuple(i for i in range(len(ipts)) if ipts[i] == ipts[lo])
-    hi_t = tuple(i for i in range(len(ipts)) if ipts[i] == ipts[hi])
-    return [((-1,), -ipts[lo][0], lo_t), ((1,), ipts[hi][0], hi_t)]
 
 
 def affine_image(poly: Polytope, matrix, offset=None) -> Polytope:

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import BadSpec, BadValue, Infeasible
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+MAX_MU_REL_TOL = 1e-12  # relative bisection width of max_mu's support end
+AFFINE_SWEEP = 400  # shapes per one-segment family the brute-force oracle adds
 
 
 def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,11 +151,11 @@ def _tangent_moment(b: float, m: float, n: int) -> float:
     return float(_segment_quad(0.0, b, 1.0, 1.0 + m * b, n, True))
 
 
-def max_mu(spec: MomentSpec, rel_tol: float = 1e-12) -> MuExtremal:
+def max_mu(spec: MomentSpec) -> MuExtremal:
     """Largest mass: follow the slope cap h(t) = 1 + m t on its support.
 
     The support end solves a monotone scalar equation for the moment target,
-    found by bracketing bisection to the requested relative tolerance.
+    found by bracketing bisection to relative tolerance MAX_MU_REL_TOL.
     """
     if not is_feasible(spec):
         raise Infeasible(f"no concave profile for {spec}")
@@ -164,7 +166,7 @@ def max_mu(spec: MomentSpec, rel_tol: float = 1e-12) -> MuExtremal:
             b = hi  # boundary spec: cap profile is the affine-to-zero profile
         else:
             lo = 0.0
-            while hi - lo > rel_tol * hi:
+            while hi - lo > MAX_MU_REL_TOL * hi:
                 mid = (lo + hi) / 2.0
                 if _tangent_moment(mid, m, n) < M:
                     lo = mid
@@ -178,7 +180,7 @@ def max_mu(spec: MomentSpec, rel_tol: float = 1e-12) -> MuExtremal:
         lo = 0.0
         while _tangent_moment(hi, m, n) < M:
             lo, hi = hi, hi * 2.0
-        while hi - lo > rel_tol * hi:
+        while hi - lo > MAX_MU_REL_TOL * hi:
             mid = (lo + hi) / 2.0
             if _tangent_moment(mid, m, n) < M:
                 lo = mid
@@ -255,13 +257,13 @@ def _shape_batch(grid_size: int, trials: int, seed: int) -> np.ndarray:
     return np.concatenate(rounds, axis=0)
 
 
-def _affine_sweeps(spec: MomentSpec, sweep: int = 400) -> np.ndarray:
+def _affine_sweeps(spec: MomentSpec) -> np.ndarray:
     """Deterministic one-segment shapes covering both closed-form extremals."""
-    lam = np.linspace(0.0, 1.0, sweep)
+    lam = np.linspace(0.0, 1.0, AFFINE_SWEEP)
     rows = [1.0 - lam[:, None] * np.array([0.0, 1.0])[None, :]]
     if spec.m > 0:
         kap_hi = spec.m * math.sqrt(2.0 * spec.M)
-        kap = np.linspace(0.0, kap_hi, sweep)[1:]
+        kap = np.linspace(0.0, kap_hi, AFFINE_SWEEP)[1:]
         rows.append(1.0 + kap[:, None] * np.array([0.0, 1.0])[None, :])
     return np.concatenate(rows, axis=0)
 

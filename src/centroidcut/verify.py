@@ -55,8 +55,7 @@ def fleet_bodies(count: int = 200, dims: tuple[int, ...] = (2, 3, 4),
 
 
 def check_bound(bodies: list[Polytope], cfg: SearchConfig | None = None,
-                   support_dirs: int = 100, grid: int = 64,
-                   tol: float = 1e-9) -> list[InvariantResult]:
+                support_dirs: int = 100, grid: int = 64) -> list[InvariantResult]:
     """Centroid-cut bound, support-ratio window and section concavity per body."""
     cfg = cfg or SearchConfig(random_directions=96, multistart=2)
     bound = InvariantResult("rho_centroid <= rho_n")
@@ -69,7 +68,7 @@ def check_bound(bodies: list[Polytope], cfg: SearchConfig | None = None,
         n = body.dim
         rn = rho_bound(n)
         report = rho_centroid(body, cfg)
-        bound.record(report.rho <= float(rn) + tol, f"body {i}: rho={report.rho}")
+        bound.record(report.rho <= float(rn) + 1e-9, f"body {i}: rho={report.rho}")
         exact.record(all(r <= rn for _, r in report.exact_witnesses),
                      f"body {i}: witness beats bound")
         for theta in itertools.islice(seeded_directions(n, 1000 + i), support_dirs):
@@ -101,15 +100,13 @@ def check_floating(bodies: list[Polytope], n_dirs: int = 64,
     return [member, mono]
 
 
-def check_pyramids(dims: tuple[int, ...] = (2, 3, 4), per_dim: int = 4,
-                   seed: int = 23) -> list[InvariantResult]:
+def check_pyramids(dims: tuple[int, ...] = (2, 3, 4), seed: int = 23) -> list[InvariantResult]:
     """Exact pyramid identities: ratio rho_n and apex fraction delta_n."""
     equality = InvariantResult("pyramid base-normal ratio == rho_n (exact)")
     apex = InvariantResult("apex-side fraction == delta_n (exact)")
-    bases = ["cube", "simplex", "cross", "random-hull"]
     for n in dims:
-        for k in range(per_dim):
-            spec = BodySpec(kind="pyramid", n=n, base=bases[k % len(bases)],
+        for k, base in enumerate(("cube", "simplex", "cross", "random-hull")):
+            spec = BodySpec(kind="pyramid", n=n, base=base,
                             seed=seed + 31 * k + n, m=n + 3,
                             height=str(Fraction(k + 1, 2)),
                             apex=None if k % 2 == 0 else tuple(
@@ -194,6 +191,14 @@ def run_suites(names, bodies_count: int = 200, dims: tuple[int, ...] = (2, 3, 4)
                support_dirs: int = 20) -> list[InvariantResult]:
     """Run the requested suites (or all) and return every invariant result."""
     chosen = list(SUITES) if "all" in names else [n for n in SUITES if n in names]
+    # bad counts fail here, before the fleet is built
+    if "bound" in chosen and support_dirs < 1:
+        raise BadValue(f"support direction count must be positive, got {support_dirs}")
+    n = max(dims[:max(bodies_count, 0)], default=0)  # the fleet's largest dimension
+    if "floatbody" in chosen and n_dirs < 2 * n:
+        raise BadValue(f"direction budget {n_dirs} below 2n = {2 * n}")
+    if ("lemma5" in chosen or "claim4" in chosen) and trials < 1:
+        raise BadValue(f"trial count must be positive, got {trials}")
     results: list[InvariantResult] = []
     fleet = None
     if "bound" in chosen or "floatbody" in chosen:

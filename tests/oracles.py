@@ -4,7 +4,8 @@ The library computes cut volumes with the frustum recursion and section
 values as derivatives of the piecewise-polynomial cumulative volume.  The
 routes here reach the same numbers geometrically: clipping a simplex by a
 halfspace, and hulling the edge crossings of a slice.  The tests compare the
-two as rationals.
+two as rationals.  The library finds hull facets by double description; the
+brute-force scan over all n-subsets here finds the same list, order included.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from centroidcut.geometry import (
     Polytope,
     Simplex,
     Vec,
+    _normal,
     _triangulate,
     as_fraction,
     as_point,
@@ -25,6 +27,38 @@ from centroidcut.geometry import (
     dot,
     vsub,
 )
+
+
+def scan_hull_facets(ipts: list[tuple[int, ...]]):
+    """All facets of conv(ipts) as (outward primitive normal, offset, tight ids).
+
+    Brute force over n-subsets in lexicographic order: each affinely
+    independent subset spans a candidate hyperplane, which is a facet support
+    iff every point lies (weakly) on one side.  Candidate hyperplanes are
+    deduplicated before the one-sidedness scan.  On points in a proper affine
+    subspace the list is empty or one "facet" holds every point.
+    """
+    m, n = len(ipts), len(ipts[0])
+    seen: set[tuple] = set()
+    facets = []
+    for comb in itertools.combinations(range(m), n):
+        base = ipts[comb[0]]
+        normal = _normal([[a - b for a, b in zip(ipts[i], base)] for i in comb[1:]])
+        if normal is None:
+            continue
+        c = sum(a * b for a, b in zip(normal, base))
+        sign = next(1 if a > 0 else -1 for a in normal if a != 0)
+        key = (tuple(sign * a for a in normal), sign * c)
+        if key in seen:
+            continue
+        seen.add(key)
+        vals = [sum(a * b for a, b in zip(normal, p)) - c for p in ipts]
+        if max(vals) > 0 and min(vals) < 0:
+            continue
+        if max(vals) > 0:  # orient outward: keep normal·x <= offset
+            normal, c = tuple(-a for a in normal), -c
+        facets.append((normal, c, tuple(i for i, v in enumerate(vals) if v == 0)))
+    return facets
 
 
 @dataclass(frozen=True)

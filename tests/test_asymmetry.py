@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,3 +253,14 @@ class TestPhi:
         for seed in (1, 2):
             body = random_hull(2, 7, seed)
             assert self.phi_from_rho_min(body) >= 4 / 9 - 1e-6
+
+
+def test_import_does_not_load_scipy():
+    """SciPy is imported only where a Nelder-Mead search runs."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, centroidcut; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

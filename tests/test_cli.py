@@ -223,6 +223,23 @@ class TestInputErrors:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "bound", "--support-dirs", "0"),
+        ("verify", "--suite", "floatbody", "--budget", "7"),
+        ("verify", "--suite", "all", "--trials", "0"),
+    ])
+    def test_bad_count_fails_before_the_fleet_is_built(self, capsys, monkeypatch, argv):
+        import centroidcut.verify as verify
+
+        def no_fleet(*args, **kwargs):
+            raise AssertionError("fleet built before the counts were checked")
+
+        monkeypatch.setattr(verify, "fleet_bodies", no_fleet)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_internal_value_error_propagates(self, capsys, monkeypatch):
         import centroidcut.cli as cli
 

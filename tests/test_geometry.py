@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,8 @@ from centroidcut.errors import BadValue
 from centroidcut.geometry import (
     _det_int,
     _gauss_jordan,
+    _hull_facets,
+    _integer_lift,
     _normal,
     as_point,
     det,
@@ -28,6 +32,8 @@ from centroidcut.geometry import (
     fraction_to_decimal,
     seeded_directions,
 )
+
+from oracles import scan_hull_facets
 
 F = Fraction
 
@@ -228,6 +234,56 @@ def _matrices(seed, shape):
         n = rng.randint(1, 6)
         rows, cols = shape(rng, n)
         yield _int_matrix(rng, rows, cols)
+
+
+@st.composite
+def lattice_sets(draw):
+    """Distinct points of {0..b}^n, n = 2..5 and b <= 3: full of coplanar,
+    collinear and non-vertex points, and sometimes in a hyperplane."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    b = draw(st.integers(min_value=1, max_value=3))
+    coord = st.integers(min_value=0, max_value=b)
+    return draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=12, unique=True))
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDoubleDescription:
+    """The double-description pass against the brute-force subset scan:
+    the same facet list, order included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_sets())
+    def test_matches_subset_scan_on_lattice_points(self, pts):
+        expected = scan_hull_facets(pts)
+        if not expected or len(expected[0][2]) == len(pts):  # in a hyperplane
+            with pytest.raises(DegenerateInput):
+                _hull_facets(pts)
+        else:
+            assert _hull_facets(pts) == expected
+
+    def test_matches_subset_scan_on_bench_shapes(self):
+        # the 5-cube's scan alone takes seconds, so its shape is checked on
+        # the 4-cube; the cross-polytope, simplex and pyramids are as given
+        workloads = _bench_workloads()
+        items = [it["points"] for it in workloads.hull_inputs(1)
+                 if it["kind"] in ("cross", "simplex", "pyramid")]
+        items.append([tuple(a + 2 for a in p) for p in workloads._cube(4)])
+        for points in items:
+            ipts = _integer_lift([as_point(p) for p in points])[0]
+            assert _hull_facets(ipts) == scan_hull_facets(ipts)
+
+    def test_six_cube(self):
+        poly = convex_hull(list(itertools.product((0, 1), repeat=6)))
+        assert len(poly.facets) == 12 and len(poly.cells) == 720
+        assert poly.volume == 1
+        assert poly.centroid == (F(1, 2),) * 6
 
 
 class TestExactLinearAlgebra:
