@@ -40,6 +40,10 @@ COMMANDS = {
     "floatbody_random_n2_simplex.json": ["floatbody", "--body", "random", "--n", "2",
                                          "--seed", "0", "--delta", "8117/18000"],
     "lemma5_n2.json": ["lemma5", "--M", "1/6", "--m", "0", "--n", "2", "--trials", "200"],
+    # max_mu's bisection below a negative slope cap (a negative --m needs "=")
+    "lemma5_mneg_n3.json": ["lemma5", "--M", "1/6", "--m=-1/4", "--n", "3", "--trials", "200"],
+    # max_mu's doubling, then bisection, above a positive slope cap
+    "lemma5_mpos_n4.json": ["lemma5", "--M", "1", "--m", "1", "--n", "4", "--trials", "200"],
     "lemma5_n2.csv": ["lemma5", "--M", "1/6", "--m", "0", "--n", "2", "--trials", "200",
                       "--format", "csv"],
     "lemma5_n2.svg": ["lemma5", "--M", "1/6", "--m", "0", "--n", "2", "--trials", "200",

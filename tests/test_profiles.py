@@ -230,6 +230,12 @@ class TestClaim4:
         assert rep.affine_ok
         assert rep.max_ratio <= rep.rho_n + 1e-9
 
+    def test_report_pinned_bitwise(self):
+        rep = claim4_certificate(3, grid_size=64, trials=2000, seed=1)
+        assert rep.trials == 2746
+        assert rep.max_ratio.hex() == "0x1.5d8092ca784bfp+0"
+        assert rep.affine_ratio.hex() == "0x1.5ed097b425eddp+0"
+
     def test_symmetric_profile_ratio_one(self):
         grid = np.linspace(0.0, 1.0, 33)
         values = 1.0 - (2.0 * grid - 1.0) ** 2 * 0  # flat
