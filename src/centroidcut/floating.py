@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .asymmetry import SearchConfig, rho_centroid, rho_min
+from .asymmetry import SearchConfig, delta_bound, rho_centroid, rho_min
 from .errors import BadDelta, BadValue
 from .feasibility import feasible_point
 from .geometry import (
@@ -228,7 +228,6 @@ def phi_estimate(poly: Polytope, cfg: SearchConfig | None = None,
     """
     cfg = cfg or SearchConfig()
     report = rho_centroid(poly, cfg)
-    lo = 1.0 / (report.rho + 1.0)
 
     n = poly.dim
     if n_dirs is None and directions == "auto":
@@ -243,8 +242,8 @@ def phi_estimate(poly: Polytope, cfg: SearchConfig | None = None,
 
     half = Fraction(1, 2)
     if nonempty(half):
-        return PhiEstimate(lo=lo, hi=0.5, delta_feasible=half, delta_infeasible=None)
-    feasible = Fraction(poly.dim, poly.dim + 1) ** poly.dim  # delta_n, always nonempty
+        return PhiEstimate(lo=report.phi, hi=0.5, delta_feasible=half, delta_infeasible=None)
+    feasible = delta_bound(n)  # always nonempty
     infeasible = half
     for _ in range(PHI_ITERATIONS):
         mid = (feasible + infeasible) / 2
@@ -252,10 +251,10 @@ def phi_estimate(poly: Polytope, cfg: SearchConfig | None = None,
             feasible = mid
         else:
             infeasible = mid
-    return PhiEstimate(lo=lo, hi=float(infeasible),
+    return PhiEstimate(lo=report.phi, hi=float(infeasible),
                        delta_feasible=feasible, delta_infeasible=infeasible)
 
 
 def phi_from_rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> float:
     """1/(rho+1) at the point of least cut ratio that :func:`rho_min` found."""
-    return 1.0 / (rho_min(poly, cfg).value + 1.0)
+    return rho_min(poly, cfg).report.phi

@@ -74,7 +74,7 @@ class BodySpec:
                 profile=(tuple(data["profile"][0]), tuple(data["profile"][1]))
                 if "profile" in data else None,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadSpec(f"malformed body spec: {exc}") from exc
 
 

@@ -42,7 +42,7 @@ def max_dim() -> int:
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, finite floats, Fractions and 'p/q' strings to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -52,8 +52,8 @@ def as_fraction(x) -> Fraction:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise BadValue(f"cannot interpret {x!r} as a rational number") from None
-    if isinstance(x, float):
-        # floats are binary rationals; conversion is exact
+    if isinstance(x, float) and math.isfinite(x):
+        # finite floats are binary rationals; conversion is exact
         return Fraction(x)
     raise BadValue(f"cannot interpret {x!r} as a rational number")
 
@@ -87,14 +87,6 @@ def dot(u, v) -> Fraction:
 
 def vsub(u, v) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vadd(u, v) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(s, u) -> Vec:
-    return tuple(s * a for a in u)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +140,6 @@ def _det_int(rows: list[list[int]]) -> int:
     return -last if inversions % 2 else last
 
 
-def det(rows) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    ints, lift = _integer_lift([as_point(row) for row in rows])
-    return Fraction(_det_int(ints), lift ** len(ints))
-
-
 def _normal(rows: list[list[int]]) -> tuple[int, ...] | None:
     """Primitive integer vector spanning the kernel of an (n-1) x n integer
     matrix (reduced in place), up to sign; None when the rank is below n-1.
@@ -172,35 +158,6 @@ def _normal(rows: list[list[int]]) -> tuple[int, ...] | None:
         x[k] = -rows[r][free]
     g = math.gcd(*x)
     return tuple(c // g for c in x)
-
-
-# ---------------------------------------------------------------------------
-# simplices
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """n+1 affinely independent points in R^n."""
-
-    vertices: tuple[Vec, ...]
-
-    def __post_init__(self):
-        n = len(self.vertices[0])
-        if len(self.vertices) != n + 1:
-            raise DegenerateInput("simplex needs n+1 vertices in dimension n")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices[0])
-
-    def volume(self) -> Fraction:
-        v0 = self.vertices[0]
-        rows = [vsub(v, v0) for v in self.vertices[1:]]
-        return abs(det(rows)) / math.factorial(self.dim)
-
-    def centroid(self) -> Vec:
-        n1 = len(self.vertices)
-        return tuple(sum(v[j] for v in self.vertices) / n1 for j in range(self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +361,9 @@ class Polytope:
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, volume={self.volume})"
 
     @property
-    def triangulation(self) -> tuple[Simplex, ...]:
-        """The cells as simplices with their vertex coordinates."""
-        return tuple(Simplex(tuple(self.vertices[i] for i in ids)) for _, ids in self.cells)
+    def triangulation(self) -> tuple[tuple[Vec, ...], ...]:
+        """The vertex coordinates of each cell, in cell order."""
+        return tuple(tuple(self.vertices[i] for i in ids) for _, ids in self.cells)
 
     # -- predicates ---------------------------------------------------------
 
@@ -440,7 +397,7 @@ class Polytope:
         try:
             dim = int(data["dim"])
             vertices = [as_point(v) for v in data["vertices"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DegenerateInput(f"malformed polytope data: {exc}") from exc
         if any(len(v) != dim for v in vertices):
             raise DegenerateInput("vertex length does not match dim")

@@ -7,18 +7,19 @@ with mass b/n, the maximum follows the slope cap h(t) = 1 + m t on its
 support.  A seeded brute-force sampler over constrained profile shapes acts
 as an independent oracle for those closed forms.
 
-Segment integrals of h^(n-1) and t h^(n-1) are evaluated with fixed-order
-Gauss-Legendre nodes, which is exact for polynomial degree <= 7 and hence for
-every n <= 6; the sampler is fully vectorized over trial batches.
+Segment integrals of h^(n-1) and t h^(n-1) are evaluated together, in one
+pass over fixed-order Gauss-Legendre nodes, which is exact for polynomial
+degree <= 7 and hence for every n <= 6; the sampler is fully vectorized over
+trial batches.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from .asymmetry import rho_bound
 from .errors import BadSpec, BadValue, Infeasible
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -80,8 +81,9 @@ class ConcaveProfile:
         return (self.values[1] - self.values[0]) / (self.grid[1] - self.grid[0])
 
 
-def _segment_quad(t0, t1, h0, h1, n, with_t: bool):
-    """Gauss-Legendre integral of h^(n-1) (or t h^(n-1)) over linear segments.
+def _segment_quad(t0, t1, h0, h1, n):
+    """Gauss-Legendre integrals (masses, moments) of h^(n-1) and t h^(n-1)
+    over linear segments, from one pass over the nodes.
 
     Inputs broadcast; exact for the polynomial integrands at hand.
     """
@@ -91,29 +93,32 @@ def _segment_quad(t0, t1, h0, h1, n, with_t: bool):
     h1 = np.asarray(h1, dtype=float)
     half = (t1 - t0) / 2.0
     mid = (t1 + t0) / 2.0
-    acc = np.zeros(np.broadcast(t0, t1, h0, h1).shape)
+    mass = mom = np.zeros(np.broadcast(t0, t1, h0, h1).shape)
     nodes, weights = _gauss_rule(n)
     for x, w in zip(nodes, weights):
         t = mid + half * x
         lam = (x + 1.0) / 2.0
         h = h0 + (h1 - h0) * lam
         f = h ** (n - 1)
-        acc = acc + w * (t * f if with_t else f)
-    return acc * half
+        mass = mass + w * f
+        mom = mom + w * (t * f)
+    return mass * half, mom * half
+
+
+def _profile_quad(profile: ConcaveProfile):
+    g = np.array(profile.grid)
+    v = np.array(profile.values)
+    return _segment_quad(g[:-1], g[1:], v[:-1], v[1:], profile.n)
 
 
 def mu(profile: ConcaveProfile) -> float:
     """Mass of f = h^(n-1) over the profile support."""
-    g = np.array(profile.grid)
-    v = np.array(profile.values)
-    return float(np.sum(_segment_quad(g[:-1], g[1:], v[:-1], v[1:], profile.n, False)))
+    return float(np.sum(_profile_quad(profile)[0]))
 
 
 def moment(profile: ConcaveProfile) -> float:
     """First moment of f = h^(n-1) about t = 0."""
-    g = np.array(profile.grid)
-    v = np.array(profile.values)
-    return float(np.sum(_segment_quad(g[:-1], g[1:], v[:-1], v[1:], profile.n, True)))
+    return float(np.sum(_profile_quad(profile)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,36 +153,24 @@ def min_mu(spec: MomentSpec) -> MuExtremal:
 
 def _tangent_moment(b: float, m: float, n: int) -> float:
     """Moment of the slope-cap profile h = 1 + m t over [0, b]."""
-    return float(_segment_quad(0.0, b, 1.0, 1.0 + m * b, n, True))
+    return float(_segment_quad(0.0, b, 1.0, 1.0 + m * b, n)[1])
 
 
 def max_mu(spec: MomentSpec) -> MuExtremal:
     """Largest mass: follow the slope cap h(t) = 1 + m t on its support.
 
     The support end solves a monotone scalar equation for the moment target,
-    found by bracketing bisection to relative tolerance MAX_MU_REL_TOL.
+    found by bisection to relative tolerance MAX_MU_REL_TOL on [0, -1/m]
+    below a negative cap, and above a positive one on [0, sqrt(2M)], where
+    the flat profile already reaches M (doubled should rounding fall short).
     """
     if not is_feasible(spec):
         raise Infeasible(f"no concave profile for {spec}")
     M, m, n = spec.M, spec.m, spec.n
-    if m < 0:
-        hi = -1.0 / m
-        if _tangent_moment(hi, m, n) <= M * (1 + 1e-14):
-            b = hi  # boundary spec: cap profile is the affine-to-zero profile
-        else:
-            lo = 0.0
-            while hi - lo > MAX_MU_REL_TOL * hi:
-                mid = (lo + hi) / 2.0
-                if _tangent_moment(mid, m, n) < M:
-                    lo = mid
-                else:
-                    hi = mid
-            b = (lo + hi) / 2.0
-    elif m == 0:
-        b = math.sqrt(2.0 * M)
+    lo, hi = 0.0, (-1.0 / m if m < 0 else math.sqrt(2.0 * M))
+    if m == 0 or (m < 0 and _tangent_moment(hi, m, n) <= M * (1 + 1e-14)):
+        b = hi  # flat cap, or boundary spec: the cap profile is affine to zero
     else:
-        hi = math.sqrt(2.0 * M)  # the flat profile reaches M at this support
-        lo = 0.0
         while _tangent_moment(hi, m, n) < M:
             lo, hi = hi, hi * 2.0
         while hi - lo > MAX_MU_REL_TOL * hi:
@@ -271,8 +264,8 @@ def _affine_sweeps(spec: MomentSpec) -> np.ndarray:
 def _evaluate_shapes(h: np.ndarray, grid: np.ndarray, spec: MomentSpec):
     """Scale shapes to the moment target; apply the slope cap; return mu and b."""
     t0, t1 = grid[:-1][None, :], grid[1:][None, :]
-    mass_hat = np.sum(_segment_quad(t0, t1, h[:, :-1], h[:, 1:], spec.n, False), axis=1)
-    mom_hat = np.sum(_segment_quad(t0, t1, h[:, :-1], h[:, 1:], spec.n, True), axis=1)
+    mass_hat, mom_hat = (np.sum(q, axis=1)
+                         for q in _segment_quad(t0, t1, h[:, :-1], h[:, 1:], spec.n))
     good = mom_hat > 1e-30
     h, mass_hat, mom_hat = h[good], mass_hat[good], mom_hat[good]
     b = np.sqrt(spec.M / mom_hat)
@@ -339,6 +332,22 @@ def support_ratio_extremes(M: float, m: float, n: int, grid_size: int = 200,
 # recentered cut ratios of two-sided profiles
 
 
+def _recentred_split(grid: np.ndarray, h: np.ndarray, n: int):
+    """Per row of `h` (h on the shared increasing `grid`): the total mass of
+    f = h^(n-1) and the mass to the right of the row's mass centroid."""
+    masses, moments = _segment_quad(grid[:-1], grid[1:], h[:, :-1], h[:, 1:], n)
+    totals = np.sum(masses, axis=1)
+    tbar = np.sum(moments, axis=1) / totals
+    ks = np.clip(np.searchsorted(grid, tbar, side="right") - 1, 0, grid.size - 2)
+    rows = np.arange(h.shape[0])
+    lam = (tbar - grid[ks]) / (grid[ks + 1] - grid[ks])
+    h_t = h[rows, ks] + (h[rows, ks + 1] - h[rows, ks]) * lam
+    partial, _ = _segment_quad(tbar, grid[ks + 1], h_t, h[rows, ks + 1], n)
+    cum_from_right = np.concatenate(
+        [np.cumsum(masses[:, ::-1], axis=1)[:, ::-1], np.zeros((h.shape[0], 1))], axis=1)
+    return totals, cum_from_right[rows, ks + 1] + partial
+
+
 def profile_cut_ratio(grid, values, n: int) -> float:
     """Right/left mass ratio of f = h^(n-1) about its mass centroid.
 
@@ -346,19 +355,9 @@ def profile_cut_ratio(grid, values, n: int) -> float:
     cut ratio of the body a profile generates, independent of parametrization
     scale and amplitude.
     """
-    g = np.asarray(grid, dtype=float)
-    v = np.asarray(values, dtype=float)
-    masses = _segment_quad(g[:-1], g[1:], v[:-1], v[1:], n, False)
-    moments = _segment_quad(g[:-1], g[1:], v[:-1], v[1:], n, True)
-    total = float(np.sum(masses))
-    tbar = float(np.sum(moments)) / total
-    k = int(np.clip(np.searchsorted(g, tbar, side="right") - 1, 0, g.size - 2))
-    lam = (tbar - g[k]) / (g[k + 1] - g[k])
-    h_t = v[k] + (v[k + 1] - v[k]) * lam
-    partial = float(_segment_quad(tbar, g[k + 1], h_t, v[k + 1], n, False))
-    mass_right = float(np.sum(masses[k + 1:])) + partial
-    mass_left = total - mass_right
-    return mass_right / mass_left
+    (total,), (right,) = _recentred_split(np.asarray(grid, dtype=float),
+                                          np.asarray(values, dtype=float)[None, :], n)
+    return float(right / (total - right))
 
 
 @dataclass
@@ -379,27 +378,11 @@ def claim4_certificate(n: int, grid_size: int = 64, trials: int = 10000,
     No sampled profile may beat (1+1/n)^n - 1, and the affine profile with
     h vanishing at the left endpoint must achieve it.
     """
-    rho_n = float((1 + Fraction(1, n)) ** n - 1)
+    rho_n = float(rho_bound(n))
     batch = _shape_batch(grid_size, trials, seed)
-    grid = np.linspace(0.0, 1.0, grid_size + 1)
-
-    t0, t1 = grid[:-1][None, :], grid[1:][None, :]
-    masses = _segment_quad(t0, t1, batch[:, :-1], batch[:, 1:], n, False)
-    moments = _segment_quad(t0, t1, batch[:, :-1], batch[:, 1:], n, True)
-    totals = np.sum(masses, axis=1)
-    tbar = np.sum(moments, axis=1) / totals
-    ks = np.clip(np.searchsorted(grid, tbar, side="right") - 1, 0, grid_size - 1)
-    rows = np.arange(batch.shape[0])
-    lam = (tbar - grid[ks]) / (grid[ks + 1] - grid[ks])
-    h_t = batch[rows, ks] + (batch[rows, ks + 1] - batch[rows, ks]) * lam
-    partial = _segment_quad(tbar, grid[ks + 1], h_t, batch[rows, ks + 1], n, False)
-    cum_from_right = np.concatenate(
-        [np.cumsum(masses[:, ::-1], axis=1)[:, ::-1], np.zeros((batch.shape[0], 1))],
-        axis=1)
-    tail = cum_from_right[rows, ks + 1]
-    mass_right = tail + partial
-    ratios = np.maximum(mass_right, totals - mass_right) / np.minimum(
-        mass_right, totals - mass_right)
+    totals, right = _recentred_split(np.linspace(0.0, 1.0, grid_size + 1), batch, n)
+    left = totals - right
+    ratios = np.maximum(right, left) / np.minimum(right, left)
 
     # reference: affine h rising from zero; its recentered ratio is the bound
     affine_ratio = profile_cut_ratio([0.0, 1.0], [0.0, 1.0], n)

@@ -199,6 +199,8 @@ def run_suites(names, bodies_count: int = 200, dims: tuple[int, ...] = (2, 3, 4)
         raise BadValue(f"direction budget {n_dirs} below 2n = {2 * n}")
     if ("lemma5" in chosen or "claim4" in chosen) and trials < 1:
         raise BadValue(f"trial count must be positive, got {trials}")
+    if "pyramids" in chosen and max(dims, default=0) < 2:
+        raise BadValue(f"pyramids need a dimension >= 2, got dims {dims}")
     results: list[InvariantResult] = []
     fleet = None
     if "bound" in chosen or "floatbody" in chosen:

@@ -3,7 +3,9 @@
 The library computes cut volumes with the frustum recursion and section
 values as derivatives of the piecewise-polynomial cumulative volume.  The
 routes here reach the same numbers geometrically: clipping a simplex by a
-halfspace, and hulling the edge crossings of a slice.  The tests compare the
+halfspace, and hulling the edge crossings of a slice.  A `Simplex` gets its
+volume from its own rational determinant, a second route to the cell volumes
+of ``Polytope.cells``.  The tests compare the
 two as rationals.  The library finds hull facets by double description; the
 brute-force scan over all n-subsets here finds the same list, order included.
 """
@@ -17,16 +19,47 @@ from fractions import Fraction
 from centroidcut.errors import DegenerateInput
 from centroidcut.geometry import (
     Polytope,
-    Simplex,
     Vec,
+    _det_int,
+    _integer_lift,
     _normal,
     _triangulate,
     as_fraction,
     as_point,
-    det,
     dot,
     vsub,
 )
+
+
+def det(rows) -> Fraction:
+    """Exact determinant of a square rational matrix."""
+    ints, lift = _integer_lift([as_point(row) for row in rows])
+    return Fraction(_det_int(ints), lift ** len(ints))
+
+
+@dataclass(frozen=True)
+class Simplex:
+    """n+1 affinely independent points in R^n."""
+
+    vertices: tuple[Vec, ...]
+
+    def __post_init__(self):
+        n = len(self.vertices[0])
+        if len(self.vertices) != n + 1:
+            raise DegenerateInput("simplex needs n+1 vertices in dimension n")
+
+    @property
+    def dim(self) -> int:
+        return len(self.vertices[0])
+
+    def volume(self) -> Fraction:
+        v0 = self.vertices[0]
+        rows = [vsub(v, v0) for v in self.vertices[1:]]
+        return abs(det(rows)) / math.factorial(self.dim)
+
+    def centroid(self) -> Vec:
+        n1 = len(self.vertices)
+        return tuple(sum(v[j] for v in self.vertices) / n1 for j in range(self.dim))
 
 
 def scan_hull_facets(ipts: list[tuple[int, ...]]):

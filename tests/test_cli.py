@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,11 @@ class TestInputErrors:
         ("rho", "--body", "square", "--tol", "nan"),
         ("rho-min", "--body", "square", "--tol", "inf"),
         ("phi", "--body", "square", "--tol=-inf"),
+        # non-finite JSON numbers in a profile
+        ("gen", "--kind", "profile-body", "--n", "2", "--profile", "[[0,1],[1,Infinity]]"),
+        ("gen", "--kind", "profile-body", "--n", "2", "--profile", "[[0,1],[1,NaN]]"),
+        # a pyramids suite with no dimension >= 2 would check nothing
+        ("verify", "--suite", "pyramids", "--dims", "1"),
     ])
     def test_exit_1(self, capsys, argv):
         code = main(list(argv))
@@ -239,6 +245,31 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "cube", "n": math.inf},
+        {"kind": "cube", "n": 2, "seed": -math.inf},
+    ])
+    def test_non_finite_spec_exit_1(self, capsys, tmp_path, data):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(data))
+        code = main(["gen", "--input", str(spec)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("command, data", [
+        ("rho", {"dim": 2, "vertices": [[0, 0], [1, 0], [0, math.inf]]}),
+        ("rho", {"dim": 2, "vertices": [[0, 0], [1, 0], [0, math.nan]]}),
+        ("gen", {"dim": math.inf, "vertices": [[0, 0], [1, 0], [0, 1]]}),
+    ])
+    def test_non_finite_polytope_exit_2(self, capsys, tmp_path, command, data):
+        poly = tmp_path / "f.json"
+        poly.write_text(json.dumps(data))
+        code = main([command, "--input", str(poly)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "malformed polytope data" in captured.err
 
     def test_internal_value_error_propagates(self, capsys, monkeypatch):
         import centroidcut.cli as cli

@@ -13,7 +13,6 @@ from centroidcut import (
     DegenerateInput,
     Location,
     Polytope,
-    Simplex,
     affine_image,
     convex_hull,
 )
@@ -25,15 +24,15 @@ from centroidcut.geometry import (
     _hull_facets,
     _integer_lift,
     _normal,
+    as_fraction,
     as_point,
-    det,
     distinct_directions,
     dot,
     fraction_to_decimal,
     seeded_directions,
 )
 
-from oracles import scan_hull_facets
+from oracles import Simplex, det, scan_hull_facets
 
 F = Fraction
 
@@ -124,12 +123,12 @@ class TestVolumeCentroid:
 
     def test_triangulation_volumes_sum_exactly(self, square_pyramid, cube3):
         for poly in (square_pyramid, cube3):
-            assert sum(s.volume() for s in poly.triangulation) == poly.volume
+            assert sum(Simplex(s).volume() for s in poly.triangulation) == poly.volume
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cell_table_matches_triangulation(self, n):
         for poly in (random_hull(n, n + 5, 17), make(BodySpec(kind="pyramid", n=n)).body):
-            simplices = poly.triangulation
+            simplices = [Simplex(s) for s in poly.triangulation]
             vols = [vol for vol, _ in poly.cells]
             assert vols == [s.volume() for s in simplices]
             assert sum(vols) == poly.volume
@@ -320,6 +319,8 @@ class TestExactLinearAlgebra:
 
 
 class TestSimplexType:
+    """The test-side simplex of ``oracles``."""
+
     def test_wrong_vertex_count_rejected(self):
         with pytest.raises(DegenerateInput):
             Simplex(((F(0), F(0)), (F(1), F(0))))
@@ -342,6 +343,11 @@ class TestSerialization:
             {"dim": 2, "vertices": [[0, 0], ["1/1", 0], [0, 1], ["1/2", "2/3"]]})
         # shoelace over (0,0),(1,0),(1/2,2/3),(0,1)
         assert poly.volume == F(7, 12)
+
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_float_is_bad_value(self, x):
+        with pytest.raises(BadValue, match="rational"):
+            as_fraction(x)
 
     def test_malformed_json_degenerate(self):
         with pytest.raises(DegenerateInput):

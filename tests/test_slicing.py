@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from centroidcut import (
     RefNotInterior,
     SectionProfile,
-    Simplex,
     convex_hull,
     cumulative_volume,
     profile,
@@ -21,7 +20,7 @@ from centroidcut import (
 from centroidcut.generators import random_hull
 from centroidcut.geometry import dot
 from centroidcut.slicing import CumulativeEvaluator
-from oracles import Halfspace, clip_simplex, slice_hull_section
+from oracles import Halfspace, Simplex, clip_simplex, slice_hull_section
 
 F = Fraction
 
@@ -117,7 +116,7 @@ class TestIntegerScale:
 
     @staticmethod
     def direct(poly, theta, t):
-        return sum((s.volume() * simplex_cut_fraction([dot(theta, v) - t for v in s.vertices])
+        return sum((Simplex(s).volume() * simplex_cut_fraction([dot(theta, v) - t for v in s])
                     for s in poly.triangulation), F(0))
 
     def check(self, poly, theta, seed):
