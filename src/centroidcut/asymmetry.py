@@ -128,8 +128,8 @@ class _FloatBody:
         self.total = float(poly.volume)
 
     def ratio(self, x: np.ndarray, theta: np.ndarray) -> float:
-        nrm = float(np.linalg.norm(theta))
-        if nrm == 0.0 or not np.isfinite(nrm):
+        sq = float(theta @ theta)  # |theta|^2, as np.linalg.norm squares it
+        if sq == 0.0 or not math.isfinite(sq):
             return math.inf
         below = float_cut_volume(self.cells, (self.verts @ theta - float(theta @ x)).tolist())
         above = self.total - below

@@ -3,10 +3,11 @@
 The floating body of K at level delta is the intersection of every halfspace
 whose complement cuts off at most the fraction delta of vol(K).  Here it is
 represented by a finite outer approximation: for each direction in a budget,
-the depth at which the complement cuts off exactly delta is solved by
-bisection on the exact cumulative volume, with the bracketing rationals kept
-as a certificate.  Facet normals are always available as directions, since
-the pyramid equality cases are tight exactly there.
+the depth at which the complement cuts off exactly delta is a root of the
+exact cumulative volume on one of its polynomial pieces.  It is found exactly
+when rational and otherwise kept as a certified bracket on a fixed grid.
+Facet normals are always available as directions, since the pyramid equality
+cases are tight exactly there.
 """
 from __future__ import annotations
 
@@ -25,18 +26,19 @@ from .geometry import (
     distinct_directions,
     dot,
     format_fraction,
-    primitive_direction,
     seeded_directions,
 )
 from .slicing import CumulativeEvaluator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepthCut:
     """Halfspace {x : theta·x <= hi} whose complement cuts off fraction delta.
 
-    [lo, hi] brackets the exact depth; lo == hi when the bisection snapped to
-    the exact rational solution.  Using hi preserves the outer approximation.
+    lo == hi is the exact depth whenever it is rational.  Otherwise (lo, hi]
+    is the cell of width 2^-BRACKET_BITS of the support width, on the grid
+    from the lowest support value, that holds the depth.  Using hi preserves
+    the outer approximation.
     """
 
     theta: tuple[int, ...]
@@ -49,57 +51,22 @@ class DepthCut:
 
 
 BRACKET_BITS = 64
-_SNAP_DENOMS = (1, 4, 16, 256, 4096, 1 << 16, 1 << 24)
 
 
 def cut_depth(ev: CumulativeEvaluator, delta) -> DepthCut:
     """Depth t with vol(K ∩ {x·theta >= t}) = delta·vol(K), bracketed, on the
     evaluator of (K, theta), which the caller may hold across many delta.
 
-    After a floating warm start, the pieces of the cumulative volume that meet
-    its bracket are built, and bisection on their exact values runs until the
-    bracket width is below 2^-BRACKET_BITS of the support width; simple
-    rationals inside the bracket are then probed so that exact solutions (the
-    pyramid identities) come out as zero-width brackets.
+    The breakpoints of the cumulative volume locate the piece that holds the
+    depth; on that piece it is the root of an integer polynomial, isolated
+    on the grid of 2^BRACKET_BITS cells of the support and returned as an
+    exact rational when it is one (see :meth:`CumulativeEvaluator.solve`).
     """
     delta = as_fraction(delta)
     if not (0 < delta <= Fraction(1, 2)):
         raise BadDelta(f"delta must lie in (0, 1/2], got {delta}")
-    th = primitive_direction(ev.theta)
-    target = (1 - delta) * ev.total
-    lo, hi = ev.lo, ev.hi
-    width = hi - lo
-    goal = width / (1 << BRACKET_BITS)
-
-    # floating warm start narrows the bracket before exact refinement
-    flo, fhi = float(lo), float(hi)
-    ftarget = float(target)
-    for _ in range(48):
-        fmid = (flo + fhi) / 2.0
-        if ev.value_float(fmid) < ftarget:
-            flo = fmid
-        else:
-            fhi = fmid
-    slack = (fhi - flo) or float(width) * 1e-12
-    cand_lo = max(lo, Fraction(flo - 4 * slack))
-    cand_hi = min(hi, Fraction(fhi + 4 * slack))
-    ev.build_pieces(cand_lo, cand_hi)
-    if cand_lo < cand_hi and ev.value(cand_lo) <= target <= ev.value(cand_hi):
-        lo, hi = cand_lo, cand_hi
-
-    while hi - lo > goal:
-        mid = (lo + hi) / 2
-        if ev.value(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-
-    mid = (lo + hi) / 2
-    for den in _SNAP_DENOMS:
-        cand = mid.limit_denominator(den)
-        if lo <= cand <= hi and ev.value(cand) == target:
-            return DepthCut(theta=th, lo=cand, hi=cand)
-    return DepthCut(theta=th, lo=lo, hi=hi)
+    lo, hi = ev.solve((1 - delta) * ev.total, BRACKET_BITS)
+    return DepthCut(theta=ev.direction, lo=lo, hi=hi)
 
 
 @dataclass
@@ -165,6 +132,18 @@ def direction_budget(poly: Polytope, n_dirs: int | None, seed: int = 0,
                                max(n_dirs or 0, len(kept)))
 
 
+def _approximations(poly: Polytope, n_dirs: int | None, seed: int, mode: str):
+    """delta -> outer approximation of K^delta, over one evaluator per
+    direction of :func:`direction_budget`, shared by every delta."""
+    evs = [CumulativeEvaluator(poly, d) for d in direction_budget(poly, n_dirs, seed, mode)]
+
+    def approx(delta) -> FloatingBodyApprox:
+        delta = as_fraction(delta)
+        return FloatingBodyApprox(delta=delta, source=poly,
+                                  cuts=tuple(cut_depth(ev, delta) for ev in evs))
+    return approx
+
+
 def floating_body_approx(poly: Polytope, delta, n_dirs: int | None = None,
                          seed: int = 0, directions: str = "auto") -> FloatingBodyApprox:
     """Outer approximation of K^delta from a finite direction set.
@@ -173,11 +152,7 @@ def floating_body_approx(poly: Polytope, delta, n_dirs: int | None = None,
     is the budget, a floor of at least 2n, and n_dirs=None means no random
     fill (see :func:`direction_budget`).  delta is checked by :func:`cut_depth`.
     """
-    delta = as_fraction(delta)
-    evs = [CumulativeEvaluator(poly, d)
-           for d in direction_budget(poly, n_dirs, seed, mode=directions)]
-    return FloatingBodyApprox(delta=delta, source=poly,
-                              cuts=tuple(cut_depth(ev, delta) for ev in evs))
+    return _approximations(poly, n_dirs, seed, directions)(delta)
 
 
 def is_nonempty(approx: FloatingBodyApprox) -> tuple[bool, tuple[Fraction, ...] | None]:
@@ -232,13 +207,10 @@ def phi_estimate(poly: Polytope, cfg: SearchConfig | None = None,
     n = poly.dim
     if n_dirs is None and directions == "auto":
         n_dirs = max(2 * n, 16)
-    evs = [CumulativeEvaluator(poly, d)
-           for d in direction_budget(poly, n_dirs, cfg.seed, mode=directions)]
+    approx = _approximations(poly, n_dirs, cfg.seed, directions)
 
     def nonempty(d: Fraction) -> bool:
-        approx = FloatingBodyApprox(delta=d, source=poly,
-                                    cuts=tuple(cut_depth(ev, d) for ev in evs))
-        return is_nonempty(approx)[0]
+        return is_nonempty(approx(d))[0]
 
     half = Fraction(1, 2)
     if nonempty(half):

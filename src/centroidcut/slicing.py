@@ -31,6 +31,7 @@ from .geometry import (
     as_point,
     dot,
     fraction_to_decimal,
+    primitive_direction,
 )
 
 
@@ -95,9 +96,10 @@ class CumulativeEvaluator:
     P_i q - L p are x_i·theta - t times L q > 0, which leaves the frustum
     recursion run over each cell unchanged.  Between consecutive distinct
     projections (the breakpoints) the cumulative volume is one polynomial of
-    degree <= n; a piece is interpolated from n+1 exact values on first use,
-    then answers ``value`` and the section functions on its closed interval.
-    ``value_float`` runs the recursion in floating point for warm starts.
+    degree <= n; a piece is interpolated on first use from the exact values
+    at its two ends and at n-1 equally spaced interior points, then answers
+    ``value``, :meth:`solve` and the section functions on its closed interval.
+    The values at the breakpoints are kept, so pieces and solves share them.
     """
 
     def __init__(self, poly: Polytope, theta):
@@ -114,6 +116,8 @@ class CumulativeEvaluator:
         self._fprojs = [float(p) for p in projections]
         self._fcells = [(float(vol), ids) for vol, ids in poly.cells]
         self._pieces: dict[int, tuple[list[int], int]] = {}
+        self._at_breaks: dict[int, Fraction] = {}
+        self.direction = primitive_direction(self.theta)  # shared by every cut
 
     def value(self, t) -> Fraction:
         t = as_fraction(t)
@@ -132,27 +136,74 @@ class CumulativeEvaluator:
         return acc
 
     def value_float(self, t: float) -> float:
+        """The recursion in floating point; no exact path reads it (kept for
+        callers that want a cheap approximate V)."""
         return float_cut_volume(self._fcells, [p - t for p in self._fprojs])
+
+    def _at_break(self, j: int) -> Fraction:
+        """Exact V at breakpoints[j], evaluated once."""
+        if j not in self._at_breaks:
+            self._at_breaks[j] = self.value(self.breakpoints[j])
+        return self._at_breaks[j]
 
     def _piece(self, i: int) -> tuple[list[int], int]:
         """Piece i of the cumulative volume, on [breakpoints[i], breakpoints[i+1]],
         as integer coefficients (low to high degree) over one common denominator."""
         if i not in self._pieces:
             lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            step = (hi - lo) / (self.poly.dim + 2)
-            xs = [lo + (j + 1) * step for j in range(self.poly.dim + 1)]
-            coeffs = _newton_interp(xs, [self.value(x) for x in xs])
+            n = self.poly.dim
+            xs = [lo + j * (hi - lo) / n for j in range(n + 1)]
+            ys = [self._at_break(i), *map(self.value, xs[1:-1]), self._at_break(i + 1)]
+            coeffs = _newton_interp(xs, ys)
             den = math.lcm(*(c.denominator for c in coeffs))
             self._pieces[i] = ([c.numerator * (den // c.denominator) for c in coeffs], den)
         return self._pieces[i]
 
-    def build_pieces(self, lo, hi) -> None:
-        """Build every piece that meets [lo, hi] inside the support."""
+    def solve(self, target: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+        """The depth r with V(r) = target, for 0 < target < vol K, as (lo, hi).
+
+        lo == hi == r when r is rational.  Otherwise (lo, hi] is the cell of
+        the grid lo_K + k W / 2^bits (W the support width) that holds r,
+        certified by V(lo) < target <= V(hi).  The breakpoints bracket r
+        first; on its piece P, r is the root of the integer polynomial Q =
+        den(target) P - num(target), divided by its content, found on a grid
+        fine enough that Q's leading coefficient c times the cell width is
+        below 1/2.  A rational root p/q of Q has q | c, so the one multiple
+        of 1/c in that cell decides whether r is rational.  Grid points
+        outside the piece are never evaluated on P: those below it lie under
+        the target and those above it over, by V at the breakpoints.
+        """
         b = self.breakpoints
-        first = max(bisect.bisect_right(b, lo) - 1, 0)
-        last = min(bisect.bisect_left(b, hi), len(b) - 1)
-        for i in range(first, last):
-            self._piece(i)
+        i = bisect.bisect_left(range(len(b)), target, key=self._at_break)
+        if self._at_break(i) == target:
+            return b[i], b[i]
+        i -= 1  # V(b[i]) < target < V(b[i + 1])
+        ints, den = self._piece(i)
+        q = [target.denominator * c for c in ints]
+        q[0] -= den * target.numerator
+        g = math.gcd(*q)
+        q = [c // g for c in q]
+        while not q[-1]:
+            q.pop()
+        lead = abs(q[-1])
+        width = self.hi - self.lo
+        fine = max(bits, math.ceil(2 * lead * width).bit_length())
+        # grid point k is t = (A + B k) / D = lo_K + k W / 2^fine
+        A = self.lo.numerator * width.denominator << fine
+        B = self.lo.denominator * width.numerator
+        D = self.lo.denominator * width.denominator << fine
+        cells = (1 << fine) / width
+        k = _grid_root(q, A, B, D, math.floor((b[i] - self.lo) * cells),
+                       math.ceil((b[i + 1] - self.lo) * cells))
+        num = -((-lead * (A + B * k)) // D)  # ceil(c t_k)
+        if b[i] * lead < num < b[i + 1] * lead and _hom_eval(q, num, lead) == 0:
+            r = Fraction(num, lead)
+            return r, r
+        step = width / (1 << bits)
+        lo = self.lo + (k >> (fine - bits)) * step
+        if not self.value(lo) < target <= self.value(lo + step):
+            raise RuntimeError(f"depth cell ({lo}, {lo + step}] fails its exact check")
+        return lo, lo + step
 
     def f_value(self, t) -> Fraction:
         """Section value as the exact derivative of the cumulative volume.
@@ -207,16 +258,54 @@ def _newton_interp(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
     return poly
 
 
-def _poly_eval(piece: tuple[list[int], int], t: Fraction) -> Fraction:
-    """sum(ints[k] t^k) / den for piece = (ints, den), by Horner on the
-    integers p and q of t = p/q, so that only the result is normalized."""
-    ints, den = piece
-    p, q = t.numerator, t.denominator
+def _hom_eval(ints: list[int], p: int, q: int) -> int:
+    """sum(ints[k] p^k q^(d-k)), d = len(ints) - 1: q^d times the polynomial
+    at p/q, by Horner on integers."""
     acc, qk = 0, 1
     for c in reversed(ints):
         acc = acc * p + c * qk
         qk *= q
-    return Fraction(acc, den * (qk // q))
+    return acc
+
+
+def _poly_eval(piece: tuple[list[int], int], t: Fraction) -> Fraction:
+    """sum(ints[k] t^k) / den for piece = (ints, den), so that only the
+    result is normalized."""
+    ints, den = piece
+    q = t.denominator
+    return Fraction(_hom_eval(ints, t.numerator, q), den * q ** (len(ints) - 1))
+
+
+def _grid_root(q: list[int], A: int, B: int, D: int, kl: int, kh: int) -> int:
+    """The k in [kl, kh) with Q(t_k) < 0 <= Q(t_k+1), t_k = (A + B k)/D.
+
+    Q has integer coefficients q (low degree first), increases between t_kl
+    and t_kh, and is taken as negative at kl and nonnegative at kh without
+    being evaluated there.  Newton steps are rounded past the root, so that
+    they close the bracket from both sides; a step that leaves the bracket
+    or does not halve the step before it gives way to bisection.
+    """
+    dq = [j * c for j, c in enumerate(q)][1:]
+    m = (kl + kh) // 2
+    last = kh - kl
+    while kh - kl > 1:
+        x = A + B * m
+        v = _hom_eval(q, x, D)
+        if v < 0:
+            kl = m
+        else:
+            kh = m
+        slope = B * _hom_eval(dq, x, D)  # v and slope are D^d Q and D^d dQ/dk
+        if slope <= 0:
+            nxt = m
+        elif v < 0:
+            nxt = m - v // slope  # ceil of the Newton point
+        else:
+            nxt = m - 1 - v // slope  # the integer just below it
+        if not (kl < nxt < kh and 2 * abs(nxt - m) <= last):
+            nxt = (kl + kh) // 2
+        last, m = abs(nxt - m), nxt
+    return kl
 
 
 def cumulative_volume(poly: Polytope, theta, t) -> Fraction:

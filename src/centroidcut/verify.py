@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .asymmetry import SearchConfig, delta_bound, ratio_at, rho_bound, rho_centroid
 from .errors import BadValue
-from .floating import floating_body_approx
+from .floating import _approximations
 from .generators import BodySpec, fleet_specs, make
 from .geometry import Polytope, dot, seeded_directions
 from .profiles import (
@@ -89,10 +89,10 @@ def check_floating(bodies: list[Polytope], n_dirs: int = 64,
     for i, body in enumerate(bodies):
         n = body.dim
         dn = delta_bound(n)
-        approx1 = floating_body_approx(body, dn, n_dirs=n_dirs, seed=seed)
+        approx = _approximations(body, n_dirs, seed, "auto")
+        approx1 = approx(dn)
         member.record(approx1.contains_point(body.centroid), f"body {i}")
-        d2 = (dn + Fraction(1, 2)) / 2
-        approx2 = floating_body_approx(body, d2, n_dirs=n_dirs, seed=seed)
+        approx2 = approx((dn + Fraction(1, 2)) / 2)
         mono.record(
             all(c2.hi <= c1.hi and c2.lo <= c1.lo
                 for c1, c2 in zip(approx1.cuts, approx2.cuts)),

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from scipy.optimize import linprog
 
 from centroidcut import (
@@ -26,6 +27,7 @@ from centroidcut.floating import direction_budget
 from centroidcut.generators import random_hull
 from centroidcut.geometry import dot
 from centroidcut.slicing import CumulativeEvaluator
+from oracles import Halfspace, Simplex, clip_simplex
 
 F = Fraction
 
@@ -83,6 +85,85 @@ class TestCutDepth:
             shared = CumulativeEvaluator(body, theta)
             for delta in deltas:
                 assert cut_depth(shared, delta) == depth(body, theta, delta), delta
+
+
+class TestRootIsolation:
+    """The depth as a root of V on one polynomial piece: rational depths
+    come out exact, irrational ones as one certified cell of the grid."""
+
+    @pytest.mark.parametrize("body, delta, expected", [
+        ("square", F(1, 2**30), 1 - F(1, 2**30)),
+        # the 2^-64 cell holds 2^6 multiples of 2^-70: the grid must be refined
+        ("square", F(1, 2**70), 1 - F(1, 2**70)),
+        ("triangle", F(1, (2**25 + 1) ** 2), F(2**25, 2**25 + 1)),
+    ])
+    def test_snaps_with_large_denominators(self, request, body, delta, expected):
+        cut = depth(request.getfixturevalue(body), (1, 0), delta)
+        assert cut.lo == cut.hi == expected
+
+    def test_irrational_depth_is_one_grid_cell(self, triangle):
+        # V(t) = 1/2 - (1 - t)^2 / 2 reaches 1/4 at t = 1 - 1/sqrt(2)
+        ev = CumulativeEvaluator(triangle, (1, 0))
+        cut = cut_depth(ev, F(1, 2))
+        width = ev.hi - ev.lo
+        assert cut.hi - cut.lo == width / 2**64
+        assert ((cut.lo - ev.lo) * 2**64 / width).denominator == 1
+        assert ev.value(cut.lo) < F(1, 4) < ev.value(cut.hi)
+        assert 2 * (1 - cut.hi) ** 2 < 1 < 2 * (1 - cut.lo) ** 2
+
+    @pytest.mark.parametrize("theta", [(1, 0, 0), (2, -3, 1), (-1, 1, 2)])
+    def test_depth_on_a_vertex_projection(self, theta):
+        body = random_hull(3, 9, 15)
+        ev = CumulativeEvaluator(body, theta)
+        hits = 0
+        for b in ev.breakpoints[1:-1]:
+            delta = 1 - ev.value(b) / body.volume
+            if delta <= F(1, 2):
+                cut = depth(body, theta, delta)
+                assert cut.lo == cut.hi == b
+                hits += 1
+        assert hits
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_against_sympy_roots(self, case):
+        """V from clipped simplices, its piece interpolated by sympy: the
+        bracket holds the root, and is a point exactly when the root is
+        rational (half the cases take delta from a rational depth)."""
+        rng = random.Random(case)
+        n = 2 + case % 3
+        body = random_hull(n, n + 2 + rng.randrange(4), 500 + case)
+        theta = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n))
+
+        def vol(t):
+            half = Halfspace.make(theta, t)
+            return sum((p.volume() for cell in body.triangulation
+                        for p in clip_simplex(Simplex(cell), half)), F(0))
+
+        b = sorted({dot(theta, v) for v in body.vertices})
+        if case % 2:
+            t_star = b[0] + (b[-1] - b[0]) * F(rng.randrange(1, 64), 64)
+            if vol(t_star) < body.volume / 2:
+                theta = tuple(-c for c in theta)
+                b = sorted(-x for x in b)
+                t_star = -t_star
+            delta = 1 - vol(t_star) / body.volume
+        else:
+            delta = F(rng.randrange(1, 50), 100)
+        target = (1 - delta) * body.volume
+        i = max(k for k in range(len(b) - 1) if vol(b[k]) <= target)
+        x = sympy.Symbol("x")
+        nodes = [b[i] + (b[i + 1] - b[i]) * F(k + 1, n + 2) for k in range(n + 1)]
+        piece = sympy.interpolate([(sympy.Rational(t), sympy.Rational(vol(t)))
+                                   for t in nodes], x)
+        q = sympy.Poly(piece - sympy.Rational(target), x)
+        rational = [r for r in q.ground_roots() if b[i] <= r <= b[i + 1]]
+        cut = depth(body, theta, delta)
+        assert q.count_roots(sympy.Rational(cut.lo), sympy.Rational(cut.hi)) >= 1
+        assert vol(cut.lo) <= target <= vol(cut.hi)
+        if rational:
+            assert cut.lo == cut.hi == F(int(rational[0].p), int(rational[0].q))
+        else:
+            assert cut.lo < cut.hi and vol(cut.lo) < target
 
 
 class TestFloatingBodyApprox:

@@ -128,7 +128,7 @@ class TestIntegerScale:
         ts += [projs[0] + (projs[-1] - projs[0]) * F(rng.randrange(1, big), big)
                for _ in range(4)]
         built = CumulativeEvaluator(poly, theta)
-        built.build_pieces(built.lo, built.hi)
+        built.mass()  # builds every piece
         assert len(built._pieces) == len(projs) - 1
         for t in ts:
             exact = self.direct(poly, theta, t)
