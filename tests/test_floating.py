@@ -263,10 +263,14 @@ class TestNonemptiness:
         assert ok and all(dot(c.theta, witness) <= c.hi for c in approx.cuts)
         # the simplex's exact witness, pinned so that a change of pivot rule shows
         assert witness == (
-            F(-300635676404711772938431946273140081223, 289989920610112241193998719023077916672),
-            F(-95703706398149364066686666258181377219, 48331653435018706865666453170512986112),
-            F(995423047586084542808551086818124994943, 386653227480149654925331625364103888896),
-            F(-227503033272068187569, 73786976294838206464))
+            F(-21835922127645604473225414590292522265659513143,
+              21843324296136255835512653160879822530358018048),
+            F(-2245354466845500305685815171154555801349940207977,
+              1164977295793933644560674835246923868285760962560),
+            F(595703739159118423931865702450578021460902818277,
+              232995459158786728912134967049384773657152192512),
+            F(-2079134000071166609974435612957390359779392767701,
+              698986377476360186736404901148154320971456577536))
 
     def test_centroid_membership_at_delta_n(self):
         for seed, n in [(3, 2), (4, 3), (5, 4)]:
