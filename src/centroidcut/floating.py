@@ -66,7 +66,11 @@ def cut_depth(ev: CumulativeEvaluator, delta) -> DepthCut:
     if not (0 < delta <= Fraction(1, 2)):
         raise BadDelta(f"delta must lie in (0, 1/2], got {delta}")
     lo, hi = ev.solve((1 - delta) * ev.total, BRACKET_BITS)
-    return DepthCut(theta=ev.direction, lo=lo, hi=hi)
+    th = ev.direction
+    scale = next(a / b for a, b in zip(ev.theta, th) if b)  # theta = scale * th
+    if scale != 1:
+        lo, hi = lo / scale, hi / scale
+    return DepthCut(theta=th, lo=lo, hi=hi)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -50,6 +51,14 @@ class TestCutDepth:
     def test_pyramid_centroid_height(self, square_pyramid):
         cut = depth(square_pyramid, (0, 0, 1), F(27, 64))
         assert cut.lo == cut.hi == F(1, 4) == square_pyramid.centroid[2]
+
+    def test_depth_along_the_primitive_direction(self, triangle):
+        # the halfspace stored is theta·x <= hi with theta primitive, so a
+        # multiple of a direction gives the same cut
+        for delta in (F(1, 4), F(1, 2)):
+            cut = depth(triangle, (1, 1), delta)
+            assert depth(triangle, (3, 3), delta) == cut
+            assert depth(triangle, (F(1, 2), F(1, 2)), delta) == cut
 
     @pytest.mark.parametrize("delta", [F(0), F(-1, 4), F(3, 5), F(2)])
     def test_bad_delta_rejected(self, square, delta):
@@ -133,6 +142,7 @@ class TestRootIsolation:
         n = 2 + case % 3
         body = random_hull(n, n + 2 + rng.randrange(4), 500 + case)
         theta = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n))
+        theta = tuple(c // math.gcd(*theta) for c in theta)  # cuts store primitive ones
 
         def vol(t):
             half = Halfspace.make(theta, t)
