@@ -77,7 +77,7 @@ def _cut_fraction(values, one):
 def float_cut_volume(cells, vals) -> float:
     """Floating-point volume below a cut: the frustum recursion in floats,
     summed over (float volume, vertex ids) cells, from each vertex's value
-    x_i·theta - t.  Only the float searches and warm starts use it."""
+    x_i·theta - t.  Only the float searches and ``value_float`` use it."""
     acc = 0.0
     for vol, ids in cells:
         acc += vol * _cut_fraction([vals[i] for i in ids], 1.0)
