@@ -42,10 +42,10 @@ def max_dim() -> int:
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, finite floats, Fractions and 'p/q' strings to an exact Fraction."""
+    """Coerce ints (not bools), finite floats, Fractions and 'p/q' strings to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:

@@ -1,24 +1,22 @@
 """Exact cumulative volumes and section functions along a direction.
 
-The volume of a simplex on one side of a hyperplane is evaluated with the
-classical frustum recursion (Varsi 1973): given the affine values at the
-vertices, the cut fraction is an O(p*q) rational recurrence that is exact and
-untroubled by ties.  Cumulative volumes along a direction sum that fraction
-over the polytope's cell table, so no geometric clipping happens anywhere.
-
 Between consecutive vertex projections the cumulative volume is one
-polynomial of degree <= n (Lawrence 1991); section values are the exact
-derivatives of those pieces, normalized so that integrating f over the raw
-projection values t = x . theta recovers vol(K).  With that convention the
-slice measure is rational even for non-unit rational normals (the Euclidean
-(n-1)-volume differs by the factor |theta|, which is irrational in general
-and only used for display).
+polynomial of degree <= n (Lawrence 1991).  Every piece comes from truncated
+powers at the vertex projections (Curry & Schoenberg 1966), summed over the
+polytope's cell table; nothing is clipped or interpolated.  Section values
+are the exact derivatives of the pieces, normalized so that integrating f
+over the raw projection values t = x . theta recovers vol(K), which keeps the
+slice measure rational for non-unit rational normals (the Euclidean
+(n-1)-volume differs by the factor |theta|, irrational in general and only
+used for display).  The float searches use the frustum recursion (Varsi
+1973) instead, since truncated powers cancel badly in floating point.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,39 +34,23 @@ from .geometry import (
 
 
 # ---------------------------------------------------------------------------
-# frustum fraction of a simplex
+# float cut volumes for the searches
 
 
-def simplex_cut_fraction(values) -> Fraction:
-    """Fraction of a simplex lying in {l <= 0} given vertex values l(v_i).
-
-    Frustum recursion over the positive values a_i and the magnitudes b_j of
-    the negative values:
-
-        V[0][j] = 1,   V[i][0] = 0,
-        V[i][j] = (b_j V[i-1][j] + a_i V[i][j-1]) / (a_i + b_j)
-
-    and the answer is V[p][q].  Exact in rational arithmetic; vertex values
-    equal to zero contribute nothing and are dropped.
-    """
-    return _cut_fraction(values, Fraction(1))
-
-
-def _cut_fraction(values, one):
-    """The recursion of simplex_cut_fraction in the number type of `one`.
-
-    Fraction(1) gives the exact fraction, 1.0 the float one of the searches.
-    """
+def _cut_fraction(values) -> float:
+    """Float fraction of a simplex lying in {l <= 0} given vertex values
+    l(v_i): with a_i the positive values and b_j the magnitudes of the
+    negative ones, V[0][j] = 1, V[i][0] = 0 and V[i][j] =
+    (b_j V[i-1][j] + a_i V[i][j-1]) / (a_i + b_j) give V[p][q]."""
     pos = [v for v in values if v > 0]
     neg = [-v for v in values if v < 0]
     if not pos:
-        return one
-    zero = type(one)(0)
+        return 1.0
     if not neg:
-        return zero
-    row = [one] * (len(neg) + 1)
+        return 0.0
+    row = [1.0] * (len(neg) + 1)
     for a in pos:
-        row[0] = zero
+        row[0] = 0.0
         for j, b in enumerate(neg, start=1):
             row[j] = (b * row[j] + a * row[j - 1]) / (a + b)
     return row[-1]
@@ -80,7 +62,7 @@ def float_cut_volume(cells, vals) -> float:
     x_i·theta - t.  Only the float searches and ``value_float`` use it."""
     acc = 0.0
     for vol, ids in cells:
-        acc += vol * _cut_fraction([vals[i] for i in ids], 1.0)
+        acc += vol * _cut_fraction([vals[i] for i in ids])
     return acc
 
 
@@ -92,14 +74,13 @@ class CumulativeEvaluator:
     """The exact kernel of one (body, direction): t -> vol(K ∩ {x·theta <= t}).
 
     Each vertex is projected once and scaled to the integer P_i = L x_i·theta,
-    L the lcm of the projections' denominators.  For t = p/q the integers
-    P_i q - L p are x_i·theta - t times L q > 0, which leaves the frustum
-    recursion run over each cell unchanged.  Between consecutive distinct
-    projections (the breakpoints) the cumulative volume is one polynomial of
-    degree <= n; a piece is interpolated on first use from the exact values
-    at its two ends and at n-1 equally spaced interior points, then answers
-    ``value``, :meth:`solve` and the section functions on its closed interval.
-    The values at the breakpoints are kept, so pieces and solves share them.
+    L the lcm of the projections' denominators.  A cell's fraction below
+    s = L t is (-1)^n times the divided difference of (s - x)_+^n on its P_i,
+    in the confluent form where they tie.  One prefix sum of those terms over
+    the sorted breakpoints gives every polynomial piece of V and V at every
+    breakpoint; the last sum must be the constant vol K.  ``value``,
+    :meth:`solve`, :meth:`f_value` and :meth:`moment` read those lists, and
+    no float is formed.
     """
 
     def __init__(self, poly: Polytope, theta):
@@ -113,10 +94,11 @@ class CumulativeEvaluator:
         self.lo, self.hi = self.breakpoints[0], self.breakpoints[-1]
         self._scale = math.lcm(*(p.denominator for p in projections))
         self._ints = [p.numerator * (self._scale // p.denominator) for p in projections]
-        self._fprojs = [float(p) for p in projections]
-        self._fcells = [(float(vol), ids) for vol, ids in poly.cells]
-        self._pieces: dict[int, tuple[list[int], int]] = {}
-        self._at_breaks: dict[int, Fraction] = {}
+        # pieces[i] on [breakpoints[i], breakpoints[i+1]], then V above the top
+        *self.pieces, top = _prefix_pieces(poly.cells, self._ints, poly.dim, self._scale)
+        if top != ([self.total.numerator] + [0] * poly.dim, self.total.denominator):
+            raise RuntimeError("cumulative volume does not end at the body's volume")
+        self.levels = [*map(_poly_eval, self.pieces, self.breakpoints), self.total]
         self.direction = primitive_direction(self.theta)  # shared by every cut
 
     def value(self, t) -> Fraction:
@@ -125,39 +107,13 @@ class CumulativeEvaluator:
             return Fraction(0)
         if t >= self.hi:
             return self.total
-        piece = self._pieces.get(bisect.bisect_right(self.breakpoints, t) - 1)
-        if piece is not None:
-            return _poly_eval(piece, t)
-        q, lp = t.denominator, self._scale * t.numerator
-        vals = [p * q - lp for p in self._ints]
-        acc = Fraction(0)
-        for vol, ids in self.poly.cells:
-            acc += vol * simplex_cut_fraction([vals[i] for i in ids])
-        return acc
+        return _poly_eval(self.pieces[bisect.bisect_right(self.breakpoints, t) - 1], t)
 
     def value_float(self, t: float) -> float:
-        """The recursion in floating point; no exact path reads it (kept for
-        callers that want a cheap approximate V)."""
-        return float_cut_volume(self._fcells, [p - t for p in self._fprojs])
-
-    def _at_break(self, j: int) -> Fraction:
-        """Exact V at breakpoints[j], evaluated once."""
-        if j not in self._at_breaks:
-            self._at_breaks[j] = self.value(self.breakpoints[j])
-        return self._at_breaks[j]
-
-    def _piece(self, i: int) -> tuple[list[int], int]:
-        """Piece i of the cumulative volume, on [breakpoints[i], breakpoints[i+1]],
-        as integer coefficients (low to high degree) over one common denominator."""
-        if i not in self._pieces:
-            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            n = self.poly.dim
-            xs = [lo + j * (hi - lo) / n for j in range(n + 1)]
-            ys = [self._at_break(i), *map(self.value, xs[1:-1]), self._at_break(i + 1)]
-            coeffs = _newton_interp(xs, ys)
-            den = math.lcm(*(c.denominator for c in coeffs))
-            self._pieces[i] = ([c.numerator * (den // c.denominator) for c in coeffs], den)
-        return self._pieces[i]
+        """V by the frustum recursion in floating point; no exact path reads
+        it (kept for callers that want a cheap approximate V)."""
+        cells = [(float(vol), ids) for vol, ids in self.poly.cells]
+        return float_cut_volume(cells, [p / self._scale - t for p in self._ints])
 
     def solve(self, target: Fraction, bits: int) -> tuple[Fraction, Fraction]:
         """The depth r with V(r) = target, for 0 < target < vol K, as (lo, hi).
@@ -174,11 +130,11 @@ class CumulativeEvaluator:
         the target and those above it over, by V at the breakpoints.
         """
         b = self.breakpoints
-        i = bisect.bisect_left(range(len(b)), target, key=self._at_break)
-        if self._at_break(i) == target:
+        i = bisect.bisect_left(self.levels, target)
+        if self.levels[i] == target:
             return b[i], b[i]
         i -= 1  # V(b[i]) < target < V(b[i + 1])
-        ints, den = self._piece(i)
+        ints, den = self.pieces[i]
         q = [target.denominator * c for c in ints]
         q[0] -= den * target.numerator
         g = math.gcd(*q)
@@ -216,46 +172,68 @@ class CumulativeEvaluator:
         b = self.breakpoints
         if t < b[0] or t > b[-1]:
             return Fraction(0)
-        ints, den = self._piece(max(bisect.bisect_left(b, t) - 1, 0))
+        ints, den = self.pieces[max(bisect.bisect_left(b, t) - 1, 0)]
         return _poly_eval(([k * c for k, c in enumerate(ints)][1:], den), t)
-
-    def mass(self) -> Fraction:
-        """Integral of f over the support, piece by piece; equals vol(K) exactly."""
-        b = self.breakpoints
-        return sum((_poly_eval(self._piece(i), b[i + 1]) - _poly_eval(self._piece(i), b[i])
-                    for i in range(len(b) - 1)), Fraction(0))
 
     def moment(self, about) -> Fraction:
         """Exact first moment of f about a projection value s0: by parts,
         (hi - s0) vol(K) minus the integral of the cumulative volume."""
         b = self.breakpoints
-        area = Fraction(0)
-        for i in range(len(b) - 1):
-            ints, den = self._piece(i)
-            area += sum(Fraction(c, (k + 1) * den) * (b[i + 1] ** (k + 1) - b[i] ** (k + 1))
-                        for k, c in enumerate(ints))
+        area = sum((Fraction(c, (k + 1) * den) * (hi ** (k + 1) - lo ** (k + 1))
+                    for (ints, den), lo, hi in zip(self.pieces, b, b[1:])
+                    for k, c in enumerate(ints)), Fraction(0))
         return (self.hi - as_fraction(about)) * self.total - area
 
 
-def _newton_interp(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
-    """Exact interpolating polynomial coefficients (low to high degree)."""
-    k = len(xs)
-    coef = list(ys)
-    for j in range(1, k):
-        for i in range(k - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    # expand Newton form
-    poly = [Fraction(0)] * k
-    poly[0] = coef[-1]
-    deg = 0
-    for i in range(k - 2, -1, -1):
-        # poly <- poly*(x - xs[i]) + coef[i]
-        for d in range(deg, -1, -1):
-            poly[d + 1] += poly[d]
-            poly[d] = -xs[i] * poly[d]
-        deg += 1
-        poly[0] += coef[i]
-    return poly
+def _prefix_pieces(cells, ints: list[int], n: int, scale: int) -> list[tuple[list[int], int]]:
+    """V between consecutive distinct integer projections a and above the
+    last, as (integer coefficients in t, low degree first; positive
+    denominator) in lowest terms, where s = scale t.
+
+    A cell of volume vol adds, at a node a of multiplicity mu among nodes b
+    of multiplicity m_b (d_b = a - b, D = prod d_b^m_b, R = prod d_b), the
+    terms vol (-1)^(n+j) C(n, j) E_(mu-1-j) R^j / (D R^(mu-1)) (s - a)^(n-j),
+    j < mu, from the residue at a of (s - z)^n / prod (z - P_i).  E_k / R^k
+    is the k-th Taylor coefficient of prod (1 + u/d_b)^(-m_b) at 0, and E_k
+    is an integer by (k+1) E_(k+1) = -sum_(i<=k) P_i E_(k-i), where
+    P_i = (-1)^i sum m_b (R/d_b)^(i+1).
+    """
+    weights = {a: ([0] * n, 1) for a in ints}
+    for vol, ids in cells:
+        mult = Counter(ints[i] for i in ids)
+        for a, mu in mult.items():
+            others = [(a - b, m) for b, m in mult.items() if b != a]
+            r = math.prod(d for d, _ in others)
+            den = vol.denominator * math.prod(d ** m for d, m in others) * r ** (mu - 1)
+            es, ps = [1], []
+            for k in range(mu - 1):
+                ps.append((-1) ** k * sum(m * (r // d) ** (k + 1) for d, m in others))
+                es.append(-sum(p * e for p, e in zip(ps, reversed(es))) // (k + 1))
+            nums, acc = weights[a]
+            g = math.gcd(acc, den)
+            if abs(den) != g:  # the node's denominator grows to lcm(acc, |den|)
+                nums = [c * (abs(den) // g) for c in nums]
+                weights[a] = nums, acc * (abs(den) // g)
+            num = (-1) ** (n + (den < 0)) * vol.numerator * (acc // g)
+            for j in range(mu):
+                nums[j] += (-1) ** j * num * math.comb(n, j) * es[mu - 1 - j] * r ** j
+    ints, den = [0] * (n + 1), 1
+    pieces = []
+    for a in sorted(weights):
+        nums, wden = weights[a]
+        term = [0] * (n + 1)
+        for j, c in enumerate(nums):  # c / wden (s - a)^(n-j)
+            if c:
+                for k in range(n - j + 1):
+                    term[k] += c * math.comb(n - j, k) * (-a) ** (n - j - k)
+        g = math.gcd(den, wden)
+        ints = [x * (wden // g) + y * (den // g) * scale ** k
+                for k, (x, y) in enumerate(zip(ints, term))]
+        den *= wden // g
+        g = math.gcd(den, *ints)
+        pieces.append(([x // g for x in ints], den // g))
+        ints, den = pieces[-1]
+    return pieces
 
 
 def _hom_eval(ints: list[int], p: int, q: int) -> int:
@@ -391,12 +369,6 @@ class SectionProfile:
             if h2 < h1 + lam * (h3 - h1) - tol:
                 return False
         return True
-
-    def trapezoid_mass(self) -> float:
-        ts = [float(t) for t, _ in self.samples]
-        fs = [float(f) for _, f in self.samples]
-        return sum((fs[i] + fs[i + 1]) * (ts[i + 1] - ts[i]) / 2.0
-                   for i in range(len(ts) - 1))
 
     def to_csv(self, digits: int = 12) -> str:
         k = self.h_exponent()

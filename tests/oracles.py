@@ -1,13 +1,15 @@
 """Independent exact routes used only as test oracles.
 
-The library computes cut volumes with the frustum recursion and section
-values as derivatives of the piecewise-polynomial cumulative volume.  The
-routes here reach the same numbers geometrically: clipping a simplex by a
-halfspace, and hulling the edge crossings of a slice.  A `Simplex` gets its
-volume from its own rational determinant, a second route to the cell volumes
-of ``Polytope.cells``.  The tests compare the
-two as rationals.  The library finds hull facets by double description; the
-brute-force scan over all n-subsets here finds the same list, order included.
+The library builds the cumulative volume along a direction from truncated
+powers placed at the vertex projections, and takes section values as
+derivatives of its polynomial pieces.  The routes here reach the same
+numbers otherwise: the frustum recursion (Varsi 1973) run in rationals on
+each simplex, clipping a simplex by a halfspace, and hulling the edge
+crossings of a slice.  A `Simplex` gets its volume from its own rational
+determinant, a second route to the cell volumes of ``Polytope.cells``.  The
+tests compare the routes as rationals.  The library finds hull facets by
+double description; the brute-force scan over all n-subsets here finds the
+same list, order included.
 """
 from __future__ import annotations
 
@@ -111,6 +113,32 @@ class Halfspace:
 
     def value(self, x) -> Fraction:
         return dot(self.normal, x) - self.offset
+
+
+def simplex_cut_fraction(values) -> Fraction:
+    """Fraction of a simplex lying in {l <= 0} given vertex values l(v_i).
+
+    Frustum recursion over the positive values a_i and the magnitudes b_j of
+    the negative values:
+
+        V[0][j] = 1,   V[i][0] = 0,
+        V[i][j] = (b_j V[i-1][j] + a_i V[i][j-1]) / (a_i + b_j)
+
+    and the answer is V[p][q].  Exact in rational arithmetic; vertex values
+    equal to zero contribute nothing and are dropped.
+    """
+    pos = [as_fraction(v) for v in values if v > 0]
+    neg = [-as_fraction(v) for v in values if v < 0]
+    if not pos:
+        return Fraction(1)
+    if not neg:
+        return Fraction(0)
+    row = [Fraction(1)] * (len(neg) + 1)
+    for a in pos:
+        row[0] = Fraction(0)
+        for j, b in enumerate(neg, start=1):
+            row[j] = (b * row[j] + a * row[j - 1]) / (a + b)
+    return row[-1]
 
 
 def clip_simplex(simplex: Simplex, half: Halfspace) -> list[Simplex]:

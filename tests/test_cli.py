@@ -262,6 +262,7 @@ class TestInputErrors:
         ("rho", {"dim": 2, "vertices": [[0, 0], [1, 0], [0, math.inf]]}),
         ("rho", {"dim": 2, "vertices": [[0, 0], [1, 0], [0, math.nan]]}),
         ("gen", {"dim": math.inf, "vertices": [[0, 0], [1, 0], [0, 1]]}),
+        ("gen", {"dim": 2, "vertices": [[True, 0], [2, 0], [0, 1]]}),
     ])
     def test_non_finite_polytope_exit_2(self, capsys, tmp_path, command, data):
         poly = tmp_path / "f.json"

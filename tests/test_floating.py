@@ -20,6 +20,7 @@ from centroidcut import (
     floating_body_approx,
     is_nonempty,
     phi_estimate,
+    ratio_at,
     rho_min,
 )
 from centroidcut import feasibility, floating
@@ -177,6 +178,24 @@ class TestRootIsolation:
 
 
 class TestFloatingBodyApprox:
+    def test_coordinates_beyond_float_range_scale_exactly(self, triangle):
+        """No exact kernel forms a float: at 10^400 the ratios are unchanged
+        and every depth bracket scales by 10^400."""
+        big = 10 ** 400
+        huge = convex_hull([(0, 0), (big, 0), (0, big)])
+        for theta in ((1, 0), (1, 1), (2, -1), (-3, 5)):
+            assert ratio_at(huge, huge.centroid, theta) == ratio_at(
+                triangle, triangle.centroid, theta)
+            assert cumulative_volume(huge, theta, big * F(1, 3)) == big ** 2 * cumulative_volume(
+                triangle, theta, F(1, 3))
+        for delta in (F(1, 4), delta_bound(2), F(1, 2)):
+            small = floating_body_approx(triangle, delta, n_dirs=12, seed=3)
+            scaled = floating_body_approx(huge, delta, n_dirs=12, seed=3)
+            assert [c.theta for c in scaled.cuts] == [c.theta for c in small.cuts]
+            assert [(c.lo, c.hi) for c in scaled.cuts] == [
+                (big * c.lo, big * c.hi) for c in small.cuts]
+            assert [c.exact for c in scaled.cuts] == [c.exact for c in small.cuts]
+
     def test_square_axes_quarter(self, square):
         approx = floating_body_approx(square, F(1, 4), directions="axes")
         depths = {c.theta: c.hi for c in approx.cuts}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,13 +15,12 @@ from centroidcut import (
     profile,
     section_moment,
     section_value,
-    simplex_cut_fraction,
     support_interval,
 )
-from centroidcut.generators import random_hull
-from centroidcut.geometry import dot
-from centroidcut.slicing import CumulativeEvaluator
-from oracles import Halfspace, Simplex, clip_simplex, slice_hull_section
+from centroidcut.generators import BodySpec, make, random_hull
+from centroidcut.geometry import Polytope, dot
+from centroidcut.slicing import CumulativeEvaluator, _poly_eval
+from oracles import Halfspace, Simplex, clip_simplex, simplex_cut_fraction, slice_hull_section
 
 F = Fraction
 
@@ -109,10 +109,11 @@ class TestCumulativeVolume:
 
 
 class TestIntegerScale:
-    """CumulativeEvaluator.value, which runs the recurrence on integer vertex
-    values, against the recurrence on the exact values x·theta - t summed
-    directly over poly.triangulation; and the same after every polynomial
-    piece is built, when value evaluates the pieces instead."""
+    """Every polynomial piece of CumulativeEvaluator, built from truncated
+    powers on the integer vertex projections, against the frustum recursion
+    on the exact values x·theta - t summed directly over poly.triangulation:
+    at both ends of each piece, at its midpoint and at a rational with a
+    64-bit denominator inside it; and V at the breakpoints."""
 
     @staticmethod
     def direct(poly, theta, t):
@@ -121,20 +122,18 @@ class TestIntegerScale:
 
     def check(self, poly, theta, seed):
         ev = CumulativeEvaluator(poly, theta)
-        projs = sorted({dot(theta, v) for v in poly.vertices})
-        ts = projs + [(a + b) / 2 for a, b in zip(projs, projs[1:])]
+        b = ev.breakpoints
+        assert b == sorted({dot(theta, v) for v in poly.vertices})
+        assert len(ev.pieces) == len(b) - 1
+        assert ev.levels == [self.direct(poly, theta, t) for t in b]
         rng = random.Random(seed)
         big = (1 << 64) - 59  # prime, so t keeps a 64-bit denominator factor
-        ts += [projs[0] + (projs[-1] - projs[0]) * F(rng.randrange(1, big), big)
-               for _ in range(4)]
-        built = CumulativeEvaluator(poly, theta)
-        built.mass()  # builds every piece
-        assert len(built._pieces) == len(projs) - 1
-        for t in ts:
-            exact = self.direct(poly, theta, t)
-            assert ev.value(t) == exact, t
-            assert built.value(t) == exact, t
-        assert not ev._pieces  # the one-shot evaluator never interpolated
+        for piece, lo, hi in zip(ev.pieces, b, b[1:]):
+            inner = [(lo + hi) / 2, lo + (hi - lo) * F(rng.randrange(1, big), big)]
+            for t in [lo, hi] + inner:
+                assert _poly_eval(piece, t) == self.direct(poly, theta, t), t
+            for t in inner:
+                assert ev.value(t) == _poly_eval(piece, t), t
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -145,6 +144,27 @@ class TestIntegerScale:
     def test_tied_projections(self, cube3):
         # (1, 0, z) and (0, 1, z) project alike: t hits several vertices at once
         self.check(cube3, (F(1, 3), F(1, 3), F(-2, 7)), 2)
+
+    @pytest.mark.parametrize("theta", [(1, 0, 0, 0), (0, 0, -1, 0), (1, 1, 0, 0),
+                                       (1, -1, 1, 0), (1, 1, 1, 1)])
+    def test_four_cube_axes_facet_normals_and_diagonals(self, theta):
+        # the 4-cube's facet normals are its signed axes
+        self.check(convex_hull(list(itertools.product((0, 1), repeat=4))), theta, 3)
+
+    def test_pyramid_axis_in_five_dimensions(self):
+        # the base's 16 vertices share one projection: a node of multiplicity 5 per cell
+        self.check(make(BodySpec(kind="pyramid", n=5)).body, (0, 0, 0, 0, 1), 4)
+
+    def test_segment(self):
+        self.check(convex_hull([(F(-1, 2),), (3,)]), (F(-2, 3),), 5)
+
+    def test_tampered_cell_volume_raises(self, square_pyramid):
+        cells = list(square_pyramid.cells)
+        cells[0] = (cells[0][0] * 2, cells[0][1])
+        body = Polytope(square_pyramid.dim, square_pyramid.vertices, square_pyramid.facets,
+                        tuple(cells), square_pyramid.volume, square_pyramid.centroid)
+        with pytest.raises(RuntimeError):
+            CumulativeEvaluator(body, (1, 2, 3))
 
 
 class TestSectionValue:
@@ -184,7 +204,10 @@ class TestSectionValue:
     def test_piecewise_mass_is_volume(self):
         body = random_hull(4, 8, 77)
         ev = CumulativeEvaluator(body, (1, 2, -1, 1))
-        assert ev.mass() == body.volume
+        b = ev.breakpoints
+        mass = sum((_poly_eval(p, hi) - _poly_eval(p, lo)
+                    for p, lo, hi in zip(ev.pieces, b, b[1:])), F(0))
+        assert mass == body.volume
 
 
 class TestSupportInterval:
@@ -249,7 +272,7 @@ class TestProfile:
 
     def test_trapezoid_converges_to_volume(self, simplex3):
         prof = profile(simplex3, (1, 2, 3), 2048)
-        assert prof.trapezoid_mass() == pytest.approx(float(simplex3.volume), rel=1e-6)
+        assert trapezoid_mass(prof) == pytest.approx(float(simplex3.volume), rel=1e-6)
 
     @pytest.mark.parametrize("n", (2, 3, 4))
     def test_samples_match_slice_hull_oracle(self, n):
@@ -284,6 +307,13 @@ class TestProfile:
         assert lines[0] == "t,f,h"
         assert len(lines) == 6
         assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+
+def trapezoid_mass(prof: SectionProfile) -> float:
+    """Trapezoid-rule integral of a sampled profile's section values."""
+    ts = [float(t) for t, _ in prof.samples]
+    fs = [float(f) for _, f in prof.samples]
+    return sum((fs[i] + fs[i + 1]) * (ts[i + 1] - ts[i]) / 2.0 for i in range(len(ts) - 1))
 
 
 small_vals = st.integers(min_value=-6, max_value=6)
