@@ -122,10 +122,21 @@ def ratio_at(poly: Polytope, x, theta) -> Fraction:
 
 
 class _FloatBody:
+    """The body in floats, scaled by 2^-shift so that every coordinate is below
+    2^64; the scale is exact, so it changes no ratio that does not overflow."""
+
     def __init__(self, poly: Polytope):
-        self.verts = np.array([[float(c) for c in v] for v in poly.vertices])
-        self.cells = [(float(vol), ids) for vol, ids in poly.cells]
-        self.total = float(poly.volume)
+        bits = max(c.numerator.bit_length() - c.denominator.bit_length()
+                   for v in poly.vertices for c in v)
+        self.shift = max(0, bits - 64)
+        self.verts = np.array([self.point(v) for v in poly.vertices])
+        scale = 2 ** (poly.dim * self.shift)
+        self.cells = [(float(vol / scale), ids) for vol, ids in poly.cells]
+        self.total = float(poly.volume / scale)
+
+    def point(self, x: Vec) -> np.ndarray:
+        """Exact coordinates (or facet offsets, which scale alike) in the body's scale."""
+        return np.array([float(c / 2 ** self.shift) for c in x])
 
     def ratio(self, x: np.ndarray, theta: np.ndarray) -> float:
         sq = float(theta @ theta)  # |theta|^2, as np.linalg.norm squares it
@@ -142,6 +153,12 @@ def exact_candidate_directions(poly: Polytope, x: Vec) -> list[tuple[int, ...]]:
     """Facet normals and vertex-difference directions, deduplicated up to sign."""
     vectors = [f.normal for f in poly.facets] + [vsub(v, x) for v in poly.vertices]
     return distinct_directions(vectors, signed=False)
+
+
+def _float_direction(d) -> np.ndarray:
+    """An integer direction as floats, scaled by 2^-s to keep it below 2^256."""
+    shift = max(0, max(abs(c) for c in d).bit_length() - 256)
+    return np.array([float(Fraction(c, 2 ** shift)) for c in d])
 
 
 def _tangent_basis(theta: np.ndarray) -> np.ndarray:
@@ -188,19 +205,19 @@ def rho_at_point(poly: Polytope, x, cfg: SearchConfig | None = None) -> Asymmetr
     n = poly.dim
     bound = rho_bound(n)
     fb = _FloatBody(poly)
-    xf = np.array([float(c) for c in xp])
+    xf = fb.point(xp)
 
     candidates = exact_candidate_directions(poly, xp)
     sample = distinct_directions(seeded_directions(n, cfg.seed), cfg.random_directions,
                                  signed=False)
-    screened = sorted(((fb.ratio(xf, np.array(d, dtype=float)), d) for d in sample),
+    screened = sorted(((fb.ratio(xf, _float_direction(d)), d) for d in sample),
                       key=lambda p: (-p[0], p[1]))
     candidates = distinct_directions(candidates + [d for _, d in screened[:1]], signed=False)
     witnesses = [(d, ratio_at(poly, xp, d)) for d in candidates]
 
     if n >= 2:
-        starts = [np.array(d, dtype=float) for _, d in screened[: cfg.multistart]]
-        starts += [np.array(th, dtype=float)
+        starts = [_float_direction(d) for _, d in screened[: cfg.multistart]]
+        starts += [_float_direction(th)
                    for th, _ in sorted(witnesses, key=lambda w: (-w[1], w[0]))[:cfg.multistart]]
         refined = [_rationalize_direction(_refine_direction(fb, xf, th0, cfg)) for th0 in starts]
         # evaluate the refined directions that are new up to sign
@@ -256,12 +273,12 @@ def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
     n = poly.dim
     fb = _FloatBody(poly)
     dirs = exact_candidate_directions(poly, poly.centroid)
-    dirs_f = [np.array(d, dtype=float) for d in dirs]
-    dirs_f += [np.array(d, dtype=float)
+    dirs_f = [_float_direction(d) for d in dirs]
+    dirs_f += [_float_direction(d)
                for d in distinct_directions(seeded_directions(n, cfg.seed + 1),
                                             min(cfg.random_directions, 48), signed=False)]
     facet_n = np.array([[float(c) for c in f.normal] for f in poly.facets])
-    facet_c = np.array([float(f.offset) for f in poly.facets])
+    facet_c = fb.point([f.offset for f in poly.facets])
 
     def interior(xf: np.ndarray) -> bool:
         return bool(np.all(facet_n @ xf < facet_c))
@@ -272,14 +289,14 @@ def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
         return max(fb.ratio(xf, th) for th in dirs_f)
 
     from scipy.optimize import minimize
-    x0 = np.array([float(c) for c in poly.centroid])
+    x0 = fb.point(poly.centroid)
     res = minimize(objective, x0, method="Nelder-Mead",
                    options={"maxiter": cfg.nm_maxiter * n, "xatol": 1e-10,
                             "fatol": cfg.tol, "disp": False})
     xbest = res.x if np.isfinite(res.fun) and interior(res.x) else x0
 
     # pull the iterate to an exactly-interior rational point
-    xr = tuple(Fraction(float(c)).limit_denominator(10**9) for c in xbest)
+    xr = tuple(Fraction(float(c)).limit_denominator(10**9) * 2 ** fb.shift for c in xbest)
     lam = Fraction(0)
     while poly.contains(xr) is not Location.INTERIOR:
         lam = lam + Fraction(1, 16) if lam else Fraction(1, 16)

@@ -65,18 +65,6 @@ def format_fraction(x: Fraction):
     return f"{x.numerator}/{x.denominator}"
 
 
-def fraction_to_decimal(x: Fraction, digits: int = 12) -> str:
-    """Decimal-string rendering of an exact rational, rounded to `digits` places."""
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaled = x * 10**digits
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    if 2 * r >= scaled.denominator:
-        q += 1
-    whole, frac = divmod(q, 10**digits)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}" if digits else f"{sign}{whole}"
-
-
 def as_point(coords) -> Vec:
     return tuple(as_fraction(c) for c in coords)
 

@@ -14,11 +14,11 @@ used for display).  The float searches use the frustum recursion (Varsi
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import RefNotInterior
 from .geometry import (
@@ -28,7 +28,6 @@ from .geometry import (
     as_fraction,
     as_point,
     dot,
-    fraction_to_decimal,
     primitive_direction,
 )
 
@@ -79,8 +78,8 @@ class CumulativeEvaluator:
     in the confluent form where they tie.  One prefix sum of those terms over
     the sorted breakpoints gives every polynomial piece of V and V at every
     breakpoint; the last sum must be the constant vol K.  ``value``,
-    :meth:`solve`, :meth:`f_value` and :meth:`moment` read those lists, and
-    no float is formed.
+    :meth:`solve`, :meth:`f_value`, :meth:`moment` and :meth:`brunn_concave`
+    read those lists, and no float is formed.
     """
 
     def __init__(self, poly: Polytope, theta):
@@ -173,7 +172,7 @@ class CumulativeEvaluator:
         if t < b[0] or t > b[-1]:
             return Fraction(0)
         ints, den = self.pieces[max(bisect.bisect_left(b, t) - 1, 0)]
-        return _poly_eval(([k * c for k, c in enumerate(ints)][1:], den), t)
+        return _poly_eval((_deriv(ints), den), t)
 
     def moment(self, about) -> Fraction:
         """Exact first moment of f about a projection value s0: by parts,
@@ -183,6 +182,81 @@ class CumulativeEvaluator:
                     for (ints, den), lo, hi in zip(self.pieces, b, b[1:])
                     for k, c in enumerate(ints)), Fraction(0))
         return (self.hi - as_fraction(about)) * self.total - area
+
+    def brunn_concave(self) -> bool:
+        """Brunn's principle, decided exactly: h = f^(1/k), k = max(n-1, 1), is
+        concave on the support.  Where f > 0, h'' has the sign of the piecewise
+        polynomial g = k f f'' - (k-1) f'^2 (its two top coefficients cancel,
+        and it vanishes on cone pieces), so h is concave iff g <= 0 on every
+        piece and, at every interior breakpoint, f is continuous and f' does
+        not increase.  No sample grid and no float enter."""
+        k = max(self.poly.dim - 1, 1)
+        b = self.breakpoints
+        ends = []  # (f, f') at both ends of every piece
+        for (ints, den), lo, hi in zip(self.pieces, b, b[1:]):
+            f = _deriv(ints)
+            f1 = _deriv(f)
+            g = [k * x - (k - 1) * y
+                 for x, y in zip_longest(_mul(f, _deriv(f1)), _mul(f1, f1), fillvalue=0)]
+            if not _nonpositive(g, lo, hi):
+                return False
+            ends.append([tuple(_poly_eval((d, den), t) for d in (f, f1)) for t in (lo, hi)])
+        return all(fl == fr and dl >= dr
+                   for (_, (fl, dl)), ((fr, dr), _) in zip(ends, ends[1:]))
+
+
+def _deriv(ints: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(ints)][1:] or [0]
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
+
+
+def _mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _tarski(p: list[int], q: list[int], a: Fraction, b: Fraction) -> int:
+    """Sum of sign q(x) over the distinct roots x of p in (a, b): the sign changes
+    just right of a minus those just left of b (where a polynomial has the sign
+    of its first derivative not zero there, times -1 per derivative on the left)
+    of the signed remainder sequence of p, p' q, over the integers (Sturm-Tarski)."""
+    seq = [p, _trim(_mul(_deriv(p), q))]
+    while seq[-1]:
+        r, v = seq[-2], seq[-1]
+        while len(r) >= len(v):  # r <- |lc v| r - sign(lc v) lc(r) x^e v
+            c, e = r[-1] * (1 if v[-1] > 0 else -1), len(r) - len(v)
+            r = _trim([abs(v[-1]) * x - (c * v[i - e] if i >= e else 0)
+                       for i, x in enumerate(r)])
+        g = math.gcd(*r) or 1
+        seq.append([-x // g for x in r])
+
+    def changes(t: Fraction, side: int) -> int:
+        signs = []
+        for s in seq[:-1]:
+            flip = 1
+            while not (v := _hom_eval(s, t.numerator, t.denominator)):
+                s, flip = _deriv(s), flip * side
+            signs.append(v * flip > 0)
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+    return changes(a, 1) - changes(b, -1)
+
+
+def _nonpositive(p: list[int], a: Fraction, b: Fraction) -> bool:
+    """p <= 0 on [a, b]: at both ends and at every root x of p' in (a, b), of
+    which (TaQ(p) + TaQ(p^2)) / 2 have p(x) > 0, TaQ(q) summing sign q(x)."""
+    p = _trim(p)
+    if any(_hom_eval(p, t.numerator, t.denominator) > 0 for t in (a, b)):
+        return False
+    dp = _deriv(p)
+    return len(dp) < 2 or _tarski(dp, p, a, b) + _tarski(dp, _mul(p, p), a, b) == 0
 
 
 def _prefix_pieces(cells, ints: list[int], n: int, scale: int) -> list[tuple[list[int], int]]:
@@ -263,7 +337,7 @@ def _grid_root(q: list[int], A: int, B: int, D: int, kl: int, kh: int) -> int:
     they close the bracket from both sides; a step that leaves the bracket
     or does not halve the step before it gives way to bisection.
     """
-    dq = [j * c for j, c in enumerate(q)][1:]
+    dq = _deriv(q)
     m = (kl + kh) // 2
     last = kh - kl
     while kh - kl > 1:
@@ -331,53 +405,19 @@ def section_moment(poly: Polytope, theta, ref=None) -> Fraction:
 
 @dataclass(frozen=True)
 class SectionProfile:
-    """Exact samples of the section function on a uniform grid around ref."""
+    """Exact section samples on a uniform grid around ref, and their evaluator."""
 
-    direction: Vec
+    evaluator: CumulativeEvaluator
     ref: Vec
     a: Fraction
     b: Fraction
     samples: tuple[tuple[Fraction, Fraction], ...]  # (t relative to ref, f)
-    dim: int
-
-    def h_exponent(self) -> int:
-        return max(self.dim - 1, 1)
-
-    def h_values(self) -> list[tuple[float, float]]:
-        k = self.h_exponent()
-        return [(float(t), float(f) ** (1.0 / k)) for t, f in self.samples]
 
     def midpoint_concavity_ok(self, tol: float = 1e-12) -> bool:
-        """Chord condition for h = f^(1/(n-1)) over all grid triples.
-
-        For planar bodies h equals f and the check is exact: on an increasing
-        grid, slopes of consecutive samples are non-increasing iff every
-        chord condition holds.  In higher dimension the root is taken in
-        floating point against the tolerance; there every triple is checked,
-        because adjacent slopes with the same tolerance would accept more
-        profiles.
-        """
-        if self.dim == 2:
-            for (t1, h1), (t2, h2), (t3, h3) in zip(self.samples, self.samples[1:],
-                                                    self.samples[2:]):
-                if (h2 - h1) * (t3 - t2) < (h3 - h2) * (t2 - t1):
-                    return False
-            return True
-        hv = self.h_values()
-        for (t1, h1), (t2, h2), (t3, h3) in itertools.combinations(hv, 3):
-            lam = (t2 - t1) / (t3 - t1)
-            if h2 < h1 + lam * (h3 - h1) - tol:
-                return False
-        return True
-
-    def to_csv(self, digits: int = 12) -> str:
-        k = self.h_exponent()
-        lines = ["t,f,h"]
-        for t, f in self.samples:
-            h = float(f) ** (1.0 / k)
-            lines.append(f"{fraction_to_decimal(t, digits)},"
-                         f"{fraction_to_decimal(f, digits)},{h:.{digits}f}")
-        return "\n".join(lines) + "\n"
+        """Whether h = f^(1/(n-1)) is concave on the support, by the evaluator's
+        exact certificate (:meth:`CumulativeEvaluator.brunn_concave`) on its
+        pieces, not the samples; ``tol`` is accepted and ignored."""
+        return self.evaluator.brunn_concave()
 
 
 def profile(poly: Polytope, theta, grid_size: int, ref=None) -> SectionProfile:
@@ -385,14 +425,9 @@ def profile(poly: Polytope, theta, grid_size: int, ref=None) -> SectionProfile:
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     refp = as_point(ref) if ref is not None else poly.centroid
-    th = as_point(theta)
-    a, b = support_interval(poly, th, refp)
-    s0 = dot(th, refp)
-    step = (a + b) / (grid_size - 1)
-    ev = CumulativeEvaluator(poly, th)
-    samples = []
-    for i in range(grid_size):
-        t_rel = -a + i * step
-        samples.append((t_rel, ev.f_value(s0 + t_rel)))
-    return SectionProfile(direction=th, ref=refp, a=a, b=b,
-                          samples=tuple(samples), dim=poly.dim)
+    ev = CumulativeEvaluator(poly, theta)
+    a, b = support_interval(poly, ev.theta, refp)
+    s0 = dot(ev.theta, refp)
+    ts = [-a + i * (a + b) / (grid_size - 1) for i in range(grid_size)]
+    return SectionProfile(evaluator=ev, ref=refp, a=a, b=b,
+                          samples=tuple((t, ev.f_value(s0 + t)) for t in ts))

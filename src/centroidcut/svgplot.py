@@ -9,7 +9,6 @@ import math
 from fractions import Fraction
 
 from .geometry import Polytope
-from .slicing import SectionProfile
 
 _W, _H, _PAD = 480.0, 360.0, 40.0
 
@@ -45,20 +44,6 @@ def _polyline(points: list[tuple[float, float]], color: str, width: float = 1.5,
     pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
     return (f'<{tag} points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>')
-
-
-def profile_svg(prof: SectionProfile) -> str:
-    """Plot of (t, h) for a sampled section profile."""
-    pts = prof.h_values()
-    ts = [p[0] for p in pts]
-    hs = [p[1] for p in pts] + [0.0]
-    to_px = _scaler(ts, hs)
-    parts = [
-        _polyline([to_px(t, 0.0) for t in (ts[0], ts[-1])], "#888", 1.0),
-        _polyline([to_px(0.0, min(hs)), to_px(0.0, max(hs))], "#888", 1.0),
-        _polyline([to_px(t, h) for t, h in pts], "#1f6fd0", 2.0),
-    ]
-    return _document(parts)
 
 
 def profiles_svg(curves: list[tuple[str, list[float], list[float]]]) -> str:

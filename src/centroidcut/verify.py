@@ -25,7 +25,7 @@ from .profiles import (
     min_mu,
     moment,
 )
-from .slicing import CumulativeEvaluator, profile, support_interval
+from .slicing import CumulativeEvaluator, support_interval
 
 
 @dataclass
@@ -55,8 +55,8 @@ def fleet_bodies(count: int = 200, dims: tuple[int, ...] = (2, 3, 4),
 
 
 def check_bound(bodies: list[Polytope], cfg: SearchConfig | None = None,
-                support_dirs: int = 100, grid: int = 64) -> list[InvariantResult]:
-    """Centroid-cut bound, support-ratio window and section concavity per body."""
+                support_dirs: int = 100) -> list[InvariantResult]:
+    """Centroid-cut bound, support-ratio window and exact Brunn concavity per body."""
     cfg = cfg or SearchConfig(random_directions=96, multistart=2)
     bound = InvariantResult("rho_centroid <= rho_n")
     exact = InvariantResult("exact witnesses <= rho_n (rational)")
@@ -76,8 +76,8 @@ def check_bound(bodies: list[Polytope], cfg: SearchConfig | None = None,
             ratio.record(Fraction(1, n) <= a / b <= n,
                          f"body {i}: a/b={a}/{b} along {theta}")
         theta = next(seeded_directions(n, 5000 + i))
-        prof = profile(body, theta, grid)
-        concave.record(prof.midpoint_concavity_ok(1e-12), f"body {i} along {theta}")
+        concave.record(CumulativeEvaluator(body, theta).brunn_concave(),
+                       f"body {i} along {theta}")
     return [bound, exact, ratio, concave]
 
 

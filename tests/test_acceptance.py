@@ -93,7 +93,7 @@ def test_criterion_2_pyramid_equality():
 def test_criterion_3_bound_certificate_fleet(fleet200):
     """200 random hulls: bound, support-ratio window, concavity; zero violations."""
     started = time.perf_counter()
-    results = check_bound(fleet200, support_dirs=100, grid=64)
+    results = check_bound(fleet200, support_dirs=100)
     for r in results:
         assert r.failed == 0, f"{r.name}: {r.notes}"
     elapsed = time.perf_counter() - started

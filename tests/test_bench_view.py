@@ -1,10 +1,12 @@
 """The benchmark's view of the package.
 
 ``bench/tracer.py`` wraps centroidcut's public functions where their callers
-look them up and reads ``Polytope.triangulation``.  Running its
-``install_all`` here makes a rename that the benchmark would only meet at run
-time fail in the test suite.  The file is read, never imported, so nothing is
-written under ``bench/``.
+look them up and reads ``Polytope.triangulation``; ``bench/workloads.py``
+calls them with the arguments a benchmark run passes.  Running the tracer's
+``install_all`` and one op of every workload here makes a rename or a
+signature change that the benchmark would only meet at run time fail in the
+test suite.  The files are read, never imported, so nothing is written under
+``bench/``.
 """
 from __future__ import annotations
 
@@ -12,20 +14,23 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import centroidcut
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracer() -> types.ModuleType:
-    module = types.ModuleType("bench_tracer")
-    module.__file__ = str(TRACER)
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+def load(name: str) -> types.ModuleType:
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_install_all_traces_and_uninstall_restores():
-    bt = load_tracer()
+    bt = load("tracer")
     tracer = bt.Tracer()
     try:
         bt.install_all(tracer, centroidcut)
@@ -38,3 +43,18 @@ def test_install_all_traces_and_uninstall_restores():
     assert tracer.notes["cut_snapped"] == [True] * 4
     assert wrapped and all(getattr(owner, attr) is original
                            for owner, attr, original in wrapped)
+
+
+@pytest.mark.parametrize("name", ("certify", "phi", "hulls", "profiles"))
+def test_first_op_of_every_workload_runs(name):
+    wl = load("workloads")
+    inputs = wl.build(centroidcut, name, wl.recipe(centroidcut, name, 1))
+    ops, close = wl.round_ops(centroidcut, name, inputs, 1)
+    try:
+        out = ops[0]()
+    finally:
+        if close:
+            close()
+    assert isinstance(out, dict)
+    if name == "certify":
+        assert out["concave"] is True

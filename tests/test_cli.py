@@ -45,6 +45,19 @@ class TestRho:
         code, _ = run_cli(capsys, "rho", "--input", str(deg))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ("rho", "rho-min"))
+    def test_coordinates_near_float_max(self, capsys, tmp_path, command):
+        """The float searches scale the body and every direction by powers of
+        two, so a vertex at 1e308 overflows neither a projection, a norm nor
+        the conversion of a direction with 1,025-bit components."""
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"dim": 2, "vertices": [[1e308, 0], [1, 0], [0, 1]]}))
+        code, out = run_cli(capsys, command, "--input", str(big))
+        assert code == 0
+        report = json.loads(out)
+        report = report.get("report", report)
+        assert report["rho"] == 1.25 and report["equality_exact"] is True
+
     def test_unknown_flag_exit_1(self, capsys):
         code, _ = run_cli(capsys, "rho", "--nonsense")
         assert code == 1

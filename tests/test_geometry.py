@@ -28,7 +28,6 @@ from centroidcut.geometry import (
     as_point,
     distinct_directions,
     dot,
-    fraction_to_decimal,
     seeded_directions,
 )
 
@@ -374,8 +373,3 @@ class TestDistinctDirections:
             assert sorted(distinct_directions(drawn)) == [(-1,), (1,)]
             assert len(distinct_directions(seeded_directions(1, seed), 256, signed=False)) == 1
 
-
-def test_fraction_decimal_rendering():
-    assert fraction_to_decimal(F(1, 3), 6) == "0.333333"
-    assert fraction_to_decimal(F(-1, 8), 4) == "-0.1250"
-    assert fraction_to_decimal(F(2, 3), 3) == "0.667"

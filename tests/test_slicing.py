@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.solvers.inequalities import solve_poly_inequality
 
 from centroidcut import (
     RefNotInterior,
@@ -18,8 +22,8 @@ from centroidcut import (
     support_interval,
 )
 from centroidcut.generators import BodySpec, make, random_hull
-from centroidcut.geometry import Polytope, dot
-from centroidcut.slicing import CumulativeEvaluator, _poly_eval
+from centroidcut.geometry import Polytope, dot, seeded_directions
+from centroidcut.slicing import CumulativeEvaluator, _mul, _nonpositive, _poly_eval
 from oracles import Halfspace, Simplex, clip_simplex, simplex_cut_fraction, slice_hull_section
 
 F = Fraction
@@ -268,7 +272,7 @@ class TestProfile:
     def test_midpoint_concavity_planar_is_exact(self):
         body = random_hull(2, 8, 5)
         prof = profile(body, (3, -2), 33)
-        assert prof.midpoint_concavity_ok()  # exact rational comparison for n=2
+        assert prof.midpoint_concavity_ok()
 
     def test_trapezoid_converges_to_volume(self, simplex3):
         prof = profile(simplex3, (1, 2, 3), 2048)
@@ -286,27 +290,18 @@ class TestProfile:
             for t, f in prof.samples:
                 assert f == slice_hull_section(body, theta, s0 + t)
 
-    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("dim", (2, 3, 4, 5))
     def test_concavity_check_rejects_dip(self, dim):
-        def prof(fs):
-            samples = tuple((F(k), F(f)) for k, f in enumerate(fs))
-            return SectionProfile(direction=(F(1),) * dim, ref=(F(0),) * dim,
-                                  a=F(0), b=F(len(fs) - 1), samples=samples, dim=dim)
-        assert prof([0, 4, 6, 7, 7]).midpoint_concavity_ok()
-        assert not prof([0, 4, 5, 7, 7]).midpoint_concavity_ok()
-        assert not prof([1, 1, 0, 1, 1]).midpoint_concavity_ok()
+        """h = 1 + t then 1 - t is concave; 1 - t then 1 + t has a convex
+        kink at 0, where f' jumps up, and is rejected."""
+        tent = fabricated(dim, [-1, 0, 1], [power(1, 1, dim - 1), power(1, -1, dim - 1)])
+        dip = fabricated(dim, [-1, 0, 1], [power(1, -1, dim - 1), power(1, 1, dim - 1)])
+        assert tent.brunn_concave()
+        assert not dip.brunn_concave()
 
     def test_requires_grid_of_three(self, cube3):
         with pytest.raises(ValueError):
             profile(cube3, (1, 0, 0), 2)
-
-    def test_csv_export(self, triangle):
-        prof = profile(triangle, (1, 0), 5)
-        text = prof.to_csv(digits=6)
-        lines = text.strip().splitlines()
-        assert lines[0] == "t,f,h"
-        assert len(lines) == 6
-        assert all(len(line.split(",")) == 3 for line in lines[1:])
 
 
 def trapezoid_mass(prof: SectionProfile) -> float:
@@ -314,6 +309,113 @@ def trapezoid_mass(prof: SectionProfile) -> float:
     ts = [float(t) for t, _ in prof.samples]
     fs = [float(f) for _, f in prof.samples]
     return sum((fs[i] + fs[i + 1]) * (ts[i + 1] - ts[i]) / 2.0 for i in range(len(ts) - 1))
+
+
+def power(c0, c1, k) -> list[Fraction]:
+    """(c0 + c1 t)^k, low degree first."""
+    return [F(math.comb(k, j) * c0 ** (k - j) * c1 ** j) for j in range(k + 1)]
+
+
+def fabricated(dim: int, breakpoints, sections) -> CumulativeEvaluator:
+    """An evaluator whose pieces are the integrals of the given section
+    polynomials f (low degree first), one per interval between breakpoints."""
+    pieces = []
+    for f in sections:
+        v = [F(0)] + [F(c) / (k + 1) for k, c in enumerate(f)]
+        den = math.lcm(*(c.denominator for c in v))
+        pieces.append(([int(c * den) for c in v], den))
+    ev = object.__new__(CumulativeEvaluator)
+    ev.poly = SimpleNamespace(dim=dim)
+    ev.breakpoints = [F(b) for b in breakpoints]
+    ev.pieces = pieces
+    return ev
+
+
+T = sympy.Symbol("t")
+
+
+def sympy_nonpositive(p: sympy.Poly, lo: Fraction, hi: Fraction) -> bool:
+    """p <= 0 on [lo, hi] by sympy's own real-root isolation: the set where
+    p > 0 (between its real roots) misses the interval."""
+    if p.is_zero:
+        return True
+    positive = sympy.Union(*solve_poly_inequality(p, ">"))
+    return positive.intersect(sympy.Interval(sympy.Rational(lo), sympy.Rational(hi))) \
+        is sympy.S.EmptySet
+
+
+def sympy_brunn(ev: CumulativeEvaluator) -> bool:
+    """Brunn's condition from the pieces in sympy: g = k f f'' - (k-1) f'^2
+    <= 0 on every piece, with its real roots on the piece counted, and f
+    continuous with f' not increasing at every interior breakpoint."""
+    k = max(ev.poly.dim - 1, 1)
+    b = [sympy.Rational(x) for x in ev.breakpoints]
+    ends = []
+    for (ints, den), lo, hi in zip(ev.pieces, b, b[1:]):
+        f = sympy.diff(sum(sympy.Rational(c, den) * T ** j for j, c in enumerate(ints)), T)
+        g = sympy.Poly(sympy.expand(k * f * sympy.diff(f, T, 2)
+                                    - (k - 1) * sympy.diff(f, T) ** 2), T)
+        assert g.is_zero or g.degree() <= max(2 * ev.poly.dim - 6, 0)
+        roots = 0 if g.is_zero else g.count_roots(lo, hi)
+        assert roots <= max(g.degree(), 0)
+        if not sympy_nonpositive(g, lo, hi):
+            return False
+        ends.append([(f.subs(T, t), sympy.diff(f, T).subs(T, t)) for t in (lo, hi)])
+    return all(fl == fr and dl >= dr for (_, (fl, dl)), ((fr, dr), _) in zip(ends, ends[1:]))
+
+
+class TestBrunnCertificate:
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_agrees_with_sympy_on_random_hulls(self, n):
+        """Random hulls along the axes, every facet normal (which ties
+        projections) and seeded directions: both routes certify."""
+        for seed in range(2):
+            body = random_hull(n, n + 3, 40 + 10 * n + seed)
+            axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            normals = [f.normal for f in body.facets][:4]
+            for theta in axes + normals + list(itertools.islice(seeded_directions(n, seed), 2)):
+                ev = CumulativeEvaluator(body, theta)
+                assert ev.brunn_concave() is True
+                assert sympy_brunn(ev) is True
+
+    def test_rejects_positive_g_inside_a_piece(self):
+        """f = 1 - 4t + 6t^2 - 2t^3 > 0 on [-1, 1] in R^4: g/2 = -12t^2 + 6t
+        + 2 is negative at both ends but positive at 0, so only the root
+        count inside the piece sees it."""
+        ev = fabricated(4, [-1, 1], [[1, -4, 6, -2]])
+        assert not ev.brunn_concave() and not sympy_brunn(ev)
+        # h = (1 + t^2)^(1/2) is convex: g = 4 everywhere
+        assert not fabricated(3, [-1, 1], [[1, 0, 1]]).brunn_concave()
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_accepts_cone_pieces(self, n):
+        """On a cone piece f = c (t - r)^(n-1), g vanishes identically."""
+        assert fabricated(n, [0, 1], [power(0, 3, n - 1)]).brunn_concave()
+        gen = make(BodySpec(kind="pyramid", n=n, base="cube"))
+        ev = CumulativeEvaluator(gen.body, gen.base_normal)
+        assert ev.brunn_concave() and sympy_brunn(ev)
+
+    def test_rejects_a_jump_in_f(self):
+        assert not fabricated(3, [0, 1, 2], [[1], [2]]).brunn_concave()
+
+    def test_nonpositive_matches_sympy(self):
+        """The Sturm-Tarski decision against sympy on products of small
+        factors: double roots, roots at the ends and roots outside."""
+        rng = random.Random(17)
+        for _ in range(300):
+            p = [rng.choice((-1, 1)) * rng.randint(1, 3)]
+            for _ in range(rng.randint(0, 4)):
+                fac = [-rng.randint(-4, 4), rng.randint(1, 3)]
+                if rng.random() < 0.3:
+                    fac = _mul(fac, fac)
+                elif rng.random() < 0.2:
+                    fac = [rng.randint(1, 5), 0, 1]
+                p = _mul(p, fac)
+            p[0] += rng.choice((0, 0, rng.randint(-3, 3)))
+            lo = F(rng.randint(-4, 3), rng.randint(1, 3))
+            hi = lo + F(rng.randint(1, 6), rng.randint(1, 3))
+            want = sympy_nonpositive(sympy.Poly(list(reversed(p)), T), lo, hi)
+            assert _nonpositive(p, lo, hi) is want, (p, lo, hi)
 
 
 small_vals = st.integers(min_value=-6, max_value=6)

@@ -2,23 +2,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from centroidcut import floating_body_approx, profile
-from centroidcut.svgplot import body_svg, profile_svg, profiles_svg
+from centroidcut import floating_body_approx
+from centroidcut.svgplot import body_svg, profiles_svg
 
 F = Fraction
-
-
-def test_profile_svg_well_formed(simplex3):
-    prof = profile(simplex3, (1, 1, 1), 17)
-    doc = profile_svg(prof)
-    assert doc.startswith("<svg ")
-    assert doc.rstrip().endswith("</svg>")
-    assert "polyline" in doc
-
-
-def test_profile_svg_deterministic(simplex3):
-    prof = profile(simplex3, (1, 1, 1), 9)
-    assert profile_svg(prof) == profile_svg(prof)
 
 
 def test_body_svg_with_floating_approx(square):
