@@ -224,10 +224,10 @@ def _mul(p: list[int], q: list[int]) -> list[int]:
 
 
 def _tarski(p: list[int], q: list[int], a: Fraction, b: Fraction) -> int:
-    """Sum of sign q(x) over the distinct roots x of p in (a, b): the sign changes
-    just right of a minus those just left of b (where a polynomial has the sign
-    of its first derivative not zero there, times -1 per derivative on the left)
-    of the signed remainder sequence of p, p' q, over the integers (Sturm-Tarski)."""
+    """Sum of sign q(x) over the distinct roots x of p in (a, b]: the sign changes
+    just right of a minus those just right of b (where a polynomial has the sign
+    of its first derivative not zero at the point) of the signed remainder
+    sequence of p and p' q, over the integers (Sturm-Tarski)."""
     seq = [p, _trim(_mul(_deriv(p), q))]
     while seq[-1]:
         r, v = seq[-2], seq[-1]
@@ -238,20 +238,20 @@ def _tarski(p: list[int], q: list[int], a: Fraction, b: Fraction) -> int:
         g = math.gcd(*r) or 1
         seq.append([-x // g for x in r])
 
-    def changes(t: Fraction, side: int) -> int:
+    def changes(t: Fraction) -> int:
         signs = []
         for s in seq[:-1]:
-            flip = 1
             while not (v := _hom_eval(s, t.numerator, t.denominator)):
-                s, flip = _deriv(s), flip * side
-            signs.append(v * flip > 0)
+                s = _deriv(s)
+            signs.append(v > 0)
         return sum(x != y for x, y in zip(signs, signs[1:]))
-    return changes(a, 1) - changes(b, -1)
+    return changes(a) - changes(b)
 
 
 def _nonpositive(p: list[int], a: Fraction, b: Fraction) -> bool:
-    """p <= 0 on [a, b]: at both ends and at every root x of p' in (a, b), of
-    which (TaQ(p) + TaQ(p^2)) / 2 have p(x) > 0, TaQ(q) summing sign q(x)."""
+    """p <= 0 on [a, b]: at both ends and at every root x of p' in (a, b], of
+    which (TaQ(p) + TaQ(p^2)) / 2 have p(x) > 0, TaQ(q) summing sign q(x)
+    (x = b, where p(b) <= 0, adds nothing)."""
     p = _trim(p)
     if any(_hom_eval(p, t.numerator, t.denominator) > 0 for t in (a, b)):
         return False
