@@ -428,6 +428,7 @@ def profile(poly: Polytope, theta, grid_size: int, ref=None) -> SectionProfile:
     ev = CumulativeEvaluator(poly, theta)
     a, b = support_interval(poly, ev.theta, refp)
     s0 = dot(ev.theta, refp)
-    ts = [-a + i * (a + b) / (grid_size - 1) for i in range(grid_size)]
+    step = (a + b) / (grid_size - 1)
+    ts = [-a + i * step for i in range(grid_size)]
     return SectionProfile(evaluator=ev, ref=refp, a=a, b=b,
                           samples=tuple((t, ev.f_value(s0 + t)) for t in ts))
