@@ -12,7 +12,6 @@ cases are tight exactly there.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,9 +97,6 @@ class FloatingBodyApprox:
                 for c in self.cuts
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 DIRECTION_MODES = ("auto", "axes", "facets")

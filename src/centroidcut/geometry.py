@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -69,8 +70,19 @@ def as_point(coords) -> Vec:
     return tuple(as_fraction(c) for c in coords)
 
 
+def lift(v) -> tuple[list[int], int]:
+    """Integer coordinates X and L, the lcm of the denominators, with v = X / L.
+
+    Reads ``numerator`` and ``denominator``, so v holds ints or Fractions.
+    """
+    lcm = math.lcm(*(c.denominator for c in v))
+    return [c.numerator * (lcm // c.denominator) for c in v], lcm
+
+
 def dot(u, v) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
+    """Exact u·v: one integer sum over the two lifts, normalized once."""
+    (a, la), (b, lb) = lift(u), lift(v)
+    return Fraction(sum(map(operator.mul, a, b)), la * lb)
 
 
 def vsub(u, v) -> Vec:
@@ -218,8 +230,7 @@ def _integer_lift(points: list[Vec]) -> tuple[list[tuple[int, ...]], int]:
 
 def primitive_direction(v) -> tuple[int, ...] | None:
     """Primitive integer vector along a rational vector; None for the zero vector."""
-    mult = math.lcm(*(c.denominator for c in v))
-    ints = [int(c * mult) for c in v]
+    ints = lift(v)[0]
     g = math.gcd(*ints)
     if g == 0:
         return None
@@ -356,13 +367,19 @@ class Polytope:
     # -- predicates ---------------------------------------------------------
 
     def contains(self, x) -> Location:
-        """Exact classification of a point against the facet inequalities."""
+        """Exact classification of a point against the facet inequalities.
+
+        With x = X / L, normal·x - c/d has the sign of normal·X·d - c·L, so
+        each facet is one integer comparison.
+        """
         p = as_point(x)
         if len(p) != self.dim:
             raise ValueError("dimension mismatch")
+        xs, scale = lift(p)
         on_boundary = False
         for f in self.facets:
-            v = dot(f.normal, p) - f.offset
+            c = f.offset
+            v = sum(map(operator.mul, f.normal, xs)) * c.denominator - c.numerator * scale
             if v > 0:
                 return Location.OUTSIDE
             if v == 0:
@@ -420,7 +437,7 @@ def convex_hull(points) -> Polytope:
     if len(pts) < n + 1:
         raise DegenerateInput("need at least n+1 points for a full-dimensional body")
 
-    ipts, lift = _integer_lift(pts)
+    ipts, scale = _integer_lift(pts)
     raw_facets = _hull_facets(ipts)
 
     # vertices: points whose tight facet normals span R^n
@@ -437,24 +454,24 @@ def convex_hull(points) -> Polytope:
         ids = tuple(sorted(index_of[pts[i]] for i in tight if i in vertex_ids))
         if len(ids) < n:
             raise DegenerateInput("facet with fewer than n vertices")
-        facets.append(Facet(normal=normal, offset=Fraction(c, lift), vertex_ids=ids))
+        facets.append(Facet(normal=normal, offset=Fraction(c, scale), vertex_ids=ids))
     facets.sort(key=lambda f: (f.normal, f.offset))
 
     tri_ids = _triangulate(list(vertex_pts), n,
                            facets=[(f.normal, f.vertex_ids) for f in facets])
     # one integer determinant D per cell of the lifted vertices: the cell
-    # volume is |D| / (lift^n n!), the centroid the |D|-weighted cell centroid
-    vint, lift = _integer_lift(vertex_pts)
+    # volume is |D| / (scale^n n!), the centroid the |D|-weighted cell centroid
+    vint, scale = _integer_lift(vertex_pts)
     dets = [abs(_det_int([[a - b for a, b in zip(vint[i], vint[ids[0]])] for i in ids[1:]]))
             for ids in tri_ids]
     total = sum(dets)
     if total == 0:
         raise DegenerateInput("zero volume after triangulation")
-    unit = lift**n * math.factorial(n)
+    unit = scale**n * math.factorial(n)
     cells = tuple((Fraction(d, unit), ids) for d, ids in zip(dets, tri_ids))
     centroid = tuple(
         Fraction(sum(d * sum(vint[i][j] for i in ids) for d, ids in zip(dets, tri_ids)),
-                 (n + 1) * lift * total) for j in range(n))
+                 (n + 1) * scale * total) for j in range(n))
 
     poly = Polytope(dim=n, vertices=tuple(vertex_pts), facets=tuple(facets),
                     cells=cells, volume=Fraction(total, unit), centroid=centroid)

@@ -9,7 +9,9 @@ crossings of a slice.  A `Simplex` gets its volume from its own rational
 determinant, a second route to the cell volumes of ``Polytope.cells``.  The
 tests compare the routes as rationals.  The library finds hull facets by
 double description; the brute-force scan over all n-subsets here finds the
-same list, order included.
+same list, order included.  The library's dot products and point tests
+run on integers over one common denominator; `fraction_dot` and
+`fraction_contains` are the same in `Fraction` arithmetic.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 from centroidcut.errors import DegenerateInput
 from centroidcut.geometry import (
+    Location,
     Polytope,
     Vec,
     _det_int,
@@ -28,9 +31,27 @@ from centroidcut.geometry import (
     _triangulate,
     as_fraction,
     as_point,
-    dot,
     vsub,
 )
+
+
+def fraction_dot(u, v):
+    """u·v as a term-by-term sum of products, the route ``geometry.dot``
+    replaces with one integer sum over a common denominator."""
+    return sum(a * b for a, b in zip(u, v))
+
+
+def fraction_contains(poly: Polytope, x) -> Location:
+    """Classify x by the sign of the rational normal·x - offset per facet."""
+    p = as_point(x)
+    on_boundary = False
+    for f in poly.facets:
+        v = fraction_dot(f.normal, p) - f.offset
+        if v > 0:
+            return Location.OUTSIDE
+        if v == 0:
+            on_boundary = True
+    return Location.BOUNDARY if on_boundary else Location.INTERIOR
 
 
 def det(rows) -> Fraction:
@@ -112,7 +133,7 @@ class Halfspace:
         return Halfspace(as_point(normal), as_fraction(offset))
 
     def value(self, x) -> Fraction:
-        return dot(self.normal, x) - self.offset
+        return fraction_dot(self.normal, x) - self.offset
 
 
 def simplex_cut_fraction(values) -> Fraction:
@@ -186,7 +207,7 @@ def slice_hull_section(poly: Polytope, theta, t) -> Fraction:
     th = as_point(theta)
     t = as_fraction(t)
     n = poly.dim
-    projs = [dot(th, v) for v in poly.vertices]
+    projs = [fraction_dot(th, v) for v in poly.vertices]
     if t < min(projs) or t > max(projs):
         return Fraction(0)
     k = max(range(n), key=lambda idx: (abs(th[idx]), -idx))

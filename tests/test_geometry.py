@@ -16,7 +16,7 @@ from centroidcut import (
     affine_image,
     convex_hull,
 )
-from centroidcut.generators import BodySpec, make, random_hull
+from centroidcut.generators import BodySpec, cross_body, make, random_hull
 from centroidcut.errors import BadValue
 from centroidcut.geometry import (
     _det_int,
@@ -31,7 +31,7 @@ from centroidcut.geometry import (
     seeded_directions,
 )
 
-from oracles import Simplex, det, scan_hull_facets
+from oracles import Simplex, det, fraction_contains, fraction_dot, scan_hull_facets
 
 F = Fraction
 
@@ -145,6 +145,78 @@ class TestContains:
     def test_centroid_strictly_interior(self, square_pyramid, simplex3):
         for poly in (square_pyramid, simplex3):
             assert poly.contains(poly.centroid) is Location.INTERIOR
+
+    @pytest.mark.parametrize("body", ["hull-1", "hull-2", "hull-3", "hull-4", "hull-5",
+                                      "cube-3", "cross-4"])
+    def test_matches_fraction_oracle(self, body):
+        kind, n = body.split("-")
+        n = int(n)
+        poly = {"hull": lambda: random_hull(n, n + 5, 11 * n),
+                "cube": lambda: convex_hull(list(itertools.product((0, 1), repeat=n))),
+                "cross": lambda: convex_hull(cross_body(n))}[kind]()
+        c = poly.centroid
+        eps = F(1, 2**64 - 59)
+
+        def towards(p, s):  # c + s (p - c)
+            return tuple(a + s * (b - a) for a, b in zip(c, p))
+
+        mids = [tuple(sum(poly.vertices[i][j] for i in f.vertex_ids) / len(f.vertex_ids)
+                      for j in range(n)) for f in poly.facets]
+        cases = [(c, Location.INTERIOR)]
+        for v in poly.vertices:
+            cases += [(v, Location.BOUNDARY), (towards(v, F(1, 2)), Location.INTERIOR),
+                      (towards(v, F(3, 2)), Location.OUTSIDE)]
+        for m in mids:
+            cases += [(m, Location.BOUNDARY), (towards(m, 1 - eps), Location.INTERIOR),
+                      (towards(m, 1 + eps), Location.OUTSIDE)]
+        for p, want in cases:
+            assert poly.contains(p) is fraction_contains(poly, p) is want
+
+    def test_forms_no_fraction(self, monkeypatch):
+        poly = random_hull(5, 9, 3)
+        v = poly.vertices[0]
+        points = [poly.centroid, v, tuple(2 * a - b for a, b in zip(v, poly.centroid))]
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            def counted(self, other, real=getattr(Fraction, name), name=name):
+                calls.append(name)
+                return real(self, other)
+            monkeypatch.setattr(Fraction, name, counted)
+        found = [poly.contains(p) for p in points]
+        monkeypatch.undo()
+        assert calls == []
+        assert found == [Location.INTERIOR, Location.BOUNDARY, Location.OUTSIDE]
+
+
+class TestDot:
+    def test_matches_fraction_sum(self):
+        rng = random.Random(17)
+        big_prime = 2**64 - 59
+
+        def entry():
+            num = rng.choice((rng.randint(-9, 9), rng.randint(-10**6, 10**6),
+                              10**400 - rng.randint(0, 9), rng.randint(0, 9) - 10**400))
+            return F(num, rng.choice((1, rng.randint(1, 12), big_prime, big_prime**2)))
+
+        def vector(n):
+            kind = rng.randrange(4)
+            if kind == 0:
+                return tuple(rng.randint(-99, 99) for _ in range(n))
+            if kind == 1:
+                return (0,) * n if rng.random() < 0.5 else (F(0),) * n
+            return tuple(entry() for _ in range(n))
+
+        for n in range(1, 7):
+            for _ in range(60):
+                u, v = vector(n), vector(n)
+                got = dot(u, v)
+                assert type(got) is Fraction and got == fraction_dot(u, v)
+        assert dot((), ()) == 0
+        assert dot((F(1, big_prime), -3), (big_prime, F(1, 3))) == 0
+
+    def test_rejects_floats(self):
+        with pytest.raises(AttributeError):
+            dot((0.5, 1), (1, 1))
 
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
