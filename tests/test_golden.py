@@ -53,6 +53,8 @@ COMMANDS = {
                                    "--trials", "500"],
     "verify_bound.txt": ["verify", "--suite", "bound", "--bodies", "6",
                          "--support-dirs", "10"],
+    "verify_lemma5.txt": ["verify", "--suite", "lemma5", "--trials", "200"],
+    "verify_floatbody.txt": ["verify", "--suite", "floatbody", "--bodies", "6"],
 }
 
 
