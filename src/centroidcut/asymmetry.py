@@ -299,7 +299,7 @@ def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
     xr = tuple(Fraction(float(c)).limit_denominator(10**9) * 2 ** fb.shift for c in xbest)
     lam = Fraction(0)
     while poly.contains(xr) is not Location.INTERIOR:
-        lam = lam + Fraction(1, 16) if lam else Fraction(1, 16)
+        lam += Fraction(1, 16)
         xr = tuple(c + lam * (g - c) for c, g in zip(xr, poly.centroid))
 
     inner_cfg = SearchConfig(seed=cfg.seed, random_directions=min(cfg.random_directions, 64),

@@ -41,8 +41,6 @@ _BODY_ALIASES = {
 def _convert(obj):
     if isinstance(obj, Fraction):
         return format_fraction(obj)
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
     if isinstance(obj, dict):
         return {k: _convert(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

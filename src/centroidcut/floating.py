@@ -165,7 +165,7 @@ def is_nonempty(approx: FloatingBodyApprox) -> tuple[bool, tuple[Fraction, ...] 
     c = approx.source.centroid
     if approx.contains_point(c):
         return True, c
-    system = [(tuple(Fraction(v) for v in cut.theta), cut.hi) for cut in approx.cuts]
+    system = [(cut.theta, cut.hi) for cut in approx.cuts]
     witness = feasible_point(system, approx.source.dim)
     return witness is not None, witness
 

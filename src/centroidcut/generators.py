@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,8 +86,6 @@ class GeneratedBody:
     is_pyramid: bool = False
     base_normal: tuple | None = None  # points from the base toward the apex
     known_rho: Fraction | None = None
-    known_centroid: Vec | None = None
-    known_volume: Fraction | None = None
 
 
 def simplex_body(n: int) -> list[Vec]:
@@ -224,21 +221,13 @@ def make(spec: BodySpec) -> GeneratedBody:
             body=convex_hull(simplex_body(n)), spec=spec, is_pyramid=True,
             base_normal=tuple([-1] * n),  # toward the apex at the origin
             known_rho=rho_bound(n),
-            known_centroid=tuple(Fraction(1, n + 1) for _ in range(n)),
-            known_volume=Fraction(1, math.factorial(n)),
         )
     if spec.kind == "cube":
         return GeneratedBody(
-            body=convex_hull(cube_body(n)), spec=spec, known_rho=Fraction(1),
-            known_centroid=tuple(Fraction(1, 2) for _ in range(n)),
-            known_volume=Fraction(1),
-        )
+            body=convex_hull(cube_body(n)), spec=spec, known_rho=Fraction(1))
     if spec.kind == "cross":
         return GeneratedBody(
-            body=convex_hull(cross_body(n)), spec=spec, known_rho=Fraction(1),
-            known_centroid=tuple(Fraction(0) for _ in range(n)),
-            known_volume=Fraction(2**n, math.factorial(n)),
-        )
+            body=convex_hull(cross_body(n)), spec=spec, known_rho=Fraction(1))
     if spec.kind == "pyramid":
         return pyramid_body(spec)
     if spec.kind == "profile-body":

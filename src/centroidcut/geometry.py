@@ -317,7 +317,7 @@ class Location(Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Facet:
     """One facet inequality normal·x <= offset, with its tight vertex ids."""
 
@@ -326,6 +326,7 @@ class Facet:
     vertex_ids: tuple[int, ...]
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Polytope:
     """Full-dimensional convex polytope in vertex representation.
 
@@ -335,20 +336,12 @@ class Polytope:
     tuple).  Use :func:`convex_hull` to build one.
     """
 
-    __slots__ = ("dim", "vertices", "facets", "cells", "volume", "centroid")
-
-    def __init__(self, dim: int, vertices: tuple[Vec, ...], facets: tuple[Facet, ...],
-                 cells: tuple[tuple[Fraction, tuple[int, ...]], ...], volume: Fraction,
-                 centroid: Vec):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "centroid", centroid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polytope is immutable")
+    dim: int
+    vertices: tuple[Vec, ...]
+    facets: tuple[Facet, ...]
+    cells: tuple[tuple[Fraction, tuple[int, ...]], ...]
+    volume: Fraction
+    centroid: Vec
 
     def __eq__(self, other):
         return isinstance(other, Polytope) and self.vertices == other.vertices
@@ -440,12 +433,13 @@ def convex_hull(points) -> Polytope:
     ipts, scale = _integer_lift(pts)
     raw_facets = _hull_facets(ipts)
 
-    # vertices: points whose tight facet normals span R^n
-    vertex_ids = set()
-    for i in range(len(pts)):
-        normals = [f[0] for f in raw_facets if i in f[2]]
-        if normals and len(_gauss_jordan(normals)[0]) == n:
-            vertex_ids.add(i)
+    # vertices: points that the facets through them meet in no other point
+    common = [-1] * len(pts)
+    for _, _, tight in raw_facets:
+        mask = sum(1 << i for i in tight)
+        for i in tight:
+            common[i] &= mask
+    vertex_ids = {i for i, c in enumerate(common) if c == 1 << i}
     vertex_pts = sorted(pts[i] for i in vertex_ids)
     index_of = {p: k for k, p in enumerate(vertex_pts)}
 

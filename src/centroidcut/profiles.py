@@ -25,6 +25,7 @@ from .errors import BadSpec, BadValue, Infeasible
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 MAX_MU_REL_TOL = 1e-12  # relative bisection width of max_mu's support end
 AFFINE_SWEEP = 400  # shapes per one-segment family the brute-force oracle adds
+CLAIM4_TOL = 1e-9  # slack of claim4_certificate's bound and affine checks
 
 
 def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,8 +277,8 @@ def _evaluate_shapes(h: np.ndarray, grid: np.ndarray, spec: MomentSpec):
     return h[cap_ok], b[cap_ok] * mass_hat[cap_ok], b[cap_ok]
 
 
-def brute_force_extremals(spec: MomentSpec, grid_size: int = 200,
-                          trials: int = 10000, seed: int = 0) -> BruteForceResult:
+def brute_force_extremals(spec: MomentSpec, grid_size: int, trials: int,
+                          seed: int) -> BruteForceResult:
     """Search constrained profile shapes for extreme masses.
 
     Shapes are sampled on [0, 1] and rescaled so the moment constraint holds
@@ -316,16 +317,6 @@ def brute_force_extremals(spec: MomentSpec, grid_size: int = 200,
         kept=int(mus.size),
         lo_profile=profile_at(i_lo), hi_profile=profile_at(i_hi),
     )
-
-
-def support_ratio_extremes(M: float, m: float, n: int, grid_size: int = 200,
-                           trials: int = 4000, seed: int = 0) -> tuple[float, float]:
-    """Extreme support lengths over constrained profiles; their ratio is <= n."""
-    spec = MomentSpec(M=M, m=m, n=n)
-    result = brute_force_extremals(spec, grid_size=grid_size, trials=trials, seed=seed)
-    if result.b_hi / result.b_lo > n + 1e-6:
-        raise RuntimeError(f"support ratio bound violated: {result.b_hi / result.b_lo} > {n}")
-    return result.b_lo, result.b_hi
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +362,7 @@ class Claim4Report:
     affine_ok: bool
 
 
-def claim4_certificate(n: int, grid_size: int = 64, trials: int = 10000,
-                       seed: int = 0, tol: float = 1e-9) -> Claim4Report:
+def claim4_certificate(n: int, grid_size: int, trials: int, seed: int) -> Claim4Report:
     """Sample moment-centered concave profiles and certify the ratio bound.
 
     No sampled profile may beat (1+1/n)^n - 1, and the affine profile with
@@ -390,6 +380,6 @@ def claim4_certificate(n: int, grid_size: int = 64, trials: int = 10000,
     return Claim4Report(
         n=n, trials=int(batch.shape[0]), max_ratio=max_ratio,
         affine_ratio=affine_ratio, rho_n=rho_n,
-        bound_ok=max_ratio <= rho_n + tol,
-        affine_ok=abs(affine_ratio - rho_n) <= tol,
+        bound_ok=max_ratio <= rho_n + CLAIM4_TOL,
+        affine_ok=abs(affine_ratio - rho_n) <= CLAIM4_TOL,
     )

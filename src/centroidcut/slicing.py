@@ -24,7 +24,6 @@ from .errors import RefNotInterior
 from .geometry import (
     Location,
     Polytope,
-    Vec,
     as_fraction,
     as_point,
     dot,
@@ -369,12 +368,14 @@ def support_interval(poly: Polytope, theta, ref) -> tuple[Fraction, Fraction]:
     """Distances (a, b) from an interior reference point to the support ends.
 
     The section function along theta, centered at ref, is supported on
-    [-a, b]; both are positive for interior ref.
+    [-a, b]; both are positive for interior ref and nonzero theta.
     """
+    th = as_point(theta)
+    if not any(th):
+        raise ValueError("direction must be nonzero")
     refp = as_point(ref)
     if poly.contains(refp) is not Location.INTERIOR:
         raise RefNotInterior("reference point must be strictly inside the body")
-    th = as_point(theta)
     projs = [dot(th, v) for v in poly.vertices]
     s0 = dot(th, refp)
     return s0 - min(projs), max(projs) - s0
@@ -405,13 +406,13 @@ def section_moment(poly: Polytope, theta, ref=None) -> Fraction:
 
 @dataclass(frozen=True)
 class SectionProfile:
-    """Exact section samples on a uniform grid around ref, and their evaluator."""
+    """Exact section samples on a uniform grid around the centroid, and their
+    evaluator."""
 
     evaluator: CumulativeEvaluator
-    ref: Vec
     a: Fraction
     b: Fraction
-    samples: tuple[tuple[Fraction, Fraction], ...]  # (t relative to ref, f)
+    samples: tuple[tuple[Fraction, Fraction], ...]  # (t relative to the centroid, f)
 
     def midpoint_concavity_ok(self, tol: float = 1e-12) -> bool:
         """Whether h = f^(1/(n-1)) is concave on the support, by the evaluator's
@@ -420,15 +421,15 @@ class SectionProfile:
         return self.evaluator.brunn_concave()
 
 
-def profile(poly: Polytope, theta, grid_size: int, ref=None) -> SectionProfile:
-    """Sample the section function on a uniform rational grid over its support."""
+def profile(poly: Polytope, theta, grid_size: int) -> SectionProfile:
+    """Sample the section function on a uniform rational grid over its support,
+    centered at the centroid."""
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
-    refp = as_point(ref) if ref is not None else poly.centroid
     ev = CumulativeEvaluator(poly, theta)
-    a, b = support_interval(poly, ev.theta, refp)
-    s0 = dot(ev.theta, refp)
+    a, b = support_interval(poly, ev.theta, poly.centroid)
+    s0 = dot(ev.theta, poly.centroid)
     step = (a + b) / (grid_size - 1)
     ts = [-a + i * step for i in range(grid_size)]
-    return SectionProfile(evaluator=ev, ref=refp, a=a, b=b,
+    return SectionProfile(evaluator=ev, a=a, b=b,
                           samples=tuple((t, ev.f_value(s0 + t)) for t in ts))

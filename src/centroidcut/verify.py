@@ -48,16 +48,16 @@ class InvariantResult:
         return self.failed == 0
 
 
-def fleet_bodies(count: int = 200, dims: tuple[int, ...] = (2, 3, 4),
-                 seed: int = 7) -> list[Polytope]:
+def fleet_bodies(count: int, dims: tuple[int, ...], seed: int) -> list[Polytope]:
     """The seeded random-hull fleet used across the certificate suites."""
     return [make(s).body for s in fleet_specs(count, dims, seed)]
 
 
-def check_bound(bodies: list[Polytope], cfg: SearchConfig | None = None,
-                support_dirs: int = 100) -> list[InvariantResult]:
+BOUND_SEARCH = SearchConfig(random_directions=96, multistart=2)
+
+
+def check_bound(bodies: list[Polytope], support_dirs: int) -> list[InvariantResult]:
     """Centroid-cut bound, support-ratio window and exact Brunn concavity per body."""
-    cfg = cfg or SearchConfig(random_directions=96, multistart=2)
     bound = InvariantResult("rho_centroid <= rho_n")
     exact = InvariantResult("exact witnesses <= rho_n (rational)")
     ratio = InvariantResult("support ratio a/b in [1/n, n]")
@@ -67,7 +67,7 @@ def check_bound(bodies: list[Polytope], cfg: SearchConfig | None = None,
     for i, body in enumerate(bodies):
         n = body.dim
         rn = rho_bound(n)
-        report = rho_centroid(body, cfg)
+        report = rho_centroid(body, BOUND_SEARCH)
         bound.record(report.rho <= float(rn) + 1e-9, f"body {i}: rho={report.rho}")
         exact.record(all(r <= rn for _, r in report.exact_witnesses),
                      f"body {i}: witness beats bound")
@@ -81,8 +81,7 @@ def check_bound(bodies: list[Polytope], cfg: SearchConfig | None = None,
     return [bound, exact, ratio, concave]
 
 
-def check_floating(bodies: list[Polytope], n_dirs: int = 64,
-                   seed: int = 11) -> list[InvariantResult]:
+def check_floating(bodies: list[Polytope], n_dirs: int, seed: int) -> list[InvariantResult]:
     """Centroid membership at delta_n and monotonicity of the approximations."""
     member = InvariantResult("centroid in K^delta_n approx")
     mono = InvariantResult("delta-monotone halfspace depths")
@@ -100,14 +99,14 @@ def check_floating(bodies: list[Polytope], n_dirs: int = 64,
     return [member, mono]
 
 
-def check_pyramids(dims: tuple[int, ...] = (2, 3, 4), seed: int = 23) -> list[InvariantResult]:
+def check_pyramids(dims: tuple[int, ...]) -> list[InvariantResult]:
     """Exact pyramid identities: ratio rho_n and apex fraction delta_n."""
     equality = InvariantResult("pyramid base-normal ratio == rho_n (exact)")
     apex = InvariantResult("apex-side fraction == delta_n (exact)")
     for n in dims:
         for k, base in enumerate(("cube", "simplex", "cross", "random-hull")):
             spec = BodySpec(kind="pyramid", n=n, base=base,
-                            seed=seed + 31 * k + n, m=n + 3,
+                            seed=23 + 31 * k + n, m=n + 3,
                             height=str(Fraction(k + 1, 2)),
                             apex=None if k % 2 == 0 else tuple(
                                 str(Fraction(k, 3)) for _ in range(n - 1)))
@@ -122,32 +121,24 @@ def check_pyramids(dims: tuple[int, ...] = (2, 3, 4), seed: int = 23) -> list[In
     return [equality, apex]
 
 
-LEMMA5_GRID = {
-    "n": (1, 2, 3, 4, 5),
-    "M": (Fraction(1, 12), Fraction(1, 6), Fraction(1), Fraction(5)),
-    "m_factors": ("threshold", "half", "zero", "one"),
-}
-
-
-def _lemma5_specs(ns=None, Ms=None) -> list[MomentSpec]:
+def _lemma5_specs() -> list[MomentSpec]:
+    """n = 1..3, M in {1/6, 1}, and four slope caps: the feasibility threshold,
+    half of it, 0 and 1."""
     specs = []
-    for n in ns or LEMMA5_GRID["n"]:
-        for M in Ms or LEMMA5_GRID["M"]:
-            thr = feasibility_threshold(float(M), n)
-            for mf in LEMMA5_GRID["m_factors"]:
-                m = {"threshold": thr, "half": thr / 2, "zero": 0.0, "one": 1.0}[mf]
-                specs.append(MomentSpec(M=float(M), m=m, n=n))
+    for n in (1, 2, 3):
+        for M in (1 / 6, 1.0):
+            thr = feasibility_threshold(M, n)
+            specs += [MomentSpec(M=M, m=m, n=n) for m in (thr, thr / 2, 0.0, 1.0)]
     return specs
 
 
-def check_lemma5(trials: int = 2000, grid_size: int = 200, seed: int = 5,
-                 ns=None, Ms=None) -> list[InvariantResult]:
+def check_lemma5(trials: int) -> list[InvariantResult]:
     """Closed forms, feasibility frontier and oracle ordering on the test grid."""
     closed = InvariantResult("min_mu closed form (b, mu, moment)")
     frontier = InvariantResult("feasibility flips at the threshold")
     ordering = InvariantResult("min_mu <= oracle <= max_mu")
     approach = InvariantResult("oracle approaches closed forms (2%)")
-    for spec in _lemma5_specs(ns, Ms):
+    for spec in _lemma5_specs():
         lo = min_mu(spec)
         hi = max_mu(spec)
         b_expected = (spec.M * spec.n * (spec.n + 1)) ** 0.5
@@ -161,8 +152,7 @@ def check_lemma5(trials: int = 2000, grid_size: int = 200, seed: int = 5,
             is_feasible(MomentSpec(spec.M, thr * (1 - 1e-6), spec.n))
             and not is_feasible(MomentSpec(spec.M, thr * (1 + 1e-6), spec.n)),
             f"{spec}")
-        bf = brute_force_extremals(spec, grid_size=grid_size, trials=trials,
-                                   seed=seed)
+        bf = brute_force_extremals(spec, grid_size=200, trials=trials, seed=5)
         ordering.record(
             lo.mu - 1e-9 <= bf.mu_lo and bf.mu_hi <= hi.mu + 1e-9,
             f"{spec}: oracle [{bf.mu_lo}, {bf.mu_hi}] vs [{lo.mu}, {hi.mu}]")
@@ -172,12 +162,11 @@ def check_lemma5(trials: int = 2000, grid_size: int = 200, seed: int = 5,
     return [closed, frontier, ordering, approach]
 
 
-def check_claim4(ns=(1, 2, 3, 4), trials: int = 10000, grid: int = 64,
-                 seed: int = 3) -> list[InvariantResult]:
+def check_claim4(trials: int) -> list[InvariantResult]:
     bound = InvariantResult("sampled ratio <= rho_n + 1e-9")
     affine = InvariantResult("affine profile achieves rho_n")
-    for n in ns:
-        rep = claim4_certificate(n, grid_size=grid, trials=trials, seed=seed)
+    for n in (1, 2, 3, 4):
+        rep = claim4_certificate(n, grid_size=64, trials=trials, seed=3)
         bound.record(rep.bound_ok, f"n={n}: max {rep.max_ratio}")
         affine.record(rep.affine_ok, f"n={n}: affine {rep.affine_ratio}")
     return [bound, affine]
@@ -186,9 +175,8 @@ def check_claim4(ns=(1, 2, 3, 4), trials: int = 10000, grid: int = 64,
 SUITES = ("bound", "floatbody", "pyramids", "lemma5", "claim4")
 
 
-def run_suites(names, bodies_count: int = 200, dims: tuple[int, ...] = (2, 3, 4),
-               seed: int = 7, n_dirs: int = 16, trials: int = 2000,
-               support_dirs: int = 20) -> list[InvariantResult]:
+def run_suites(names, bodies_count: int, dims: tuple[int, ...], seed: int, n_dirs: int,
+               trials: int, support_dirs: int) -> list[InvariantResult]:
     """Run the requested suites (or all) and return every invariant result."""
     chosen = list(SUITES) if "all" in names else [n for n in SUITES if n in names]
     # bad counts fail here, before the fleet is built
@@ -212,7 +200,7 @@ def run_suites(names, bodies_count: int = 200, dims: tuple[int, ...] = (2, 3, 4)
     if "pyramids" in chosen:
         results += check_pyramids(dims=tuple(d for d in dims if d >= 2))
     if "lemma5" in chosen:
-        results += check_lemma5(trials=trials, ns=(1, 2, 3), Ms=(Fraction(1, 6), Fraction(1)))
+        results += check_lemma5(trials=trials)
     if "claim4" in chosen:
         results += check_claim4(trials=trials)
     return results

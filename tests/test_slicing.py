@@ -232,6 +232,11 @@ class TestSupportInterval:
         with pytest.raises(RefNotInterior):
             support_interval(cube3, (1, 0, 0), (2, 0, 0))
 
+    def test_rejects_zero_direction(self, cube3):
+        """A zero direction has no support interval; (0, 0) would divide by zero."""
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            support_interval(cube3, (0, 0, 0), cube3.centroid)
+
 
 class TestMomentCondition:
     @pytest.mark.parametrize("seed,theta", [
@@ -285,7 +290,7 @@ class TestProfile:
             body = random_hull(n, n + 5, rng.randrange(1 << 20))
             theta = tuple(rng.randint(-4, 4) for _ in range(n - 1)) + (rng.randint(1, 4),)
             prof = profile(body, theta, 9)
-            s0 = sum(a * b for a, b in zip(theta, prof.ref))
+            s0 = sum(a * b for a, b in zip(theta, body.centroid))
             assert prof.samples[0][0] == -prof.a and prof.samples[-1][0] == prof.b
             for t, f in prof.samples:
                 assert f == slice_hull_section(body, theta, s0 + t)
