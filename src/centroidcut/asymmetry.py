@@ -122,21 +122,22 @@ def ratio_at(poly: Polytope, x, theta) -> Fraction:
 
 
 class _FloatBody:
-    """The body in floats, scaled by 2^-shift so that every coordinate is below
-    2^64; the scale is exact, so it changes no ratio that does not overflow."""
+    """The body in floats, divided by a power of two ``unit`` that brings it to
+    about unit size when its largest coordinate is above 2^64 or below 2^-64;
+    the scale is exact, so it changes no ratio that does not overflow."""
 
     def __init__(self, poly: Polytope):
         bits = max(c.numerator.bit_length() - c.denominator.bit_length()
-                   for v in poly.vertices for c in v)
-        self.shift = max(0, bits - 64)
+                   for v in poly.vertices for c in v if c)
+        self.unit = Fraction(2) ** (bits if abs(bits) > 64 else 0)
         self.verts = np.array([self.point(v) for v in poly.vertices])
-        scale = 2 ** (poly.dim * self.shift)
+        scale = self.unit ** poly.dim
         self.cells = [(float(vol / scale), ids) for vol, ids in poly.cells]
         self.total = float(poly.volume / scale)
 
     def point(self, x: Vec) -> np.ndarray:
         """Exact coordinates (or facet offsets, which scale alike) in the body's scale."""
-        return np.array([float(c / 2 ** self.shift) for c in x])
+        return np.array([float(c / self.unit) for c in x])
 
     def ratio(self, x: np.ndarray, theta: np.ndarray) -> float:
         sq = float(theta @ theta)  # |theta|^2, as np.linalg.norm squares it
@@ -296,7 +297,7 @@ def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
     xbest = res.x if np.isfinite(res.fun) and interior(res.x) else x0
 
     # pull the iterate to an exactly-interior rational point
-    xr = tuple(Fraction(float(c)).limit_denominator(10**9) * 2 ** fb.shift for c in xbest)
+    xr = tuple(Fraction(float(c)).limit_denominator(10**9) * fb.unit for c in xbest)
     lam = Fraction(0)
     while poly.contains(xr) is not Location.INTERIOR:
         lam += Fraction(1, 16)

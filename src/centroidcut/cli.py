@@ -19,7 +19,7 @@ from .asymmetry import SearchConfig, rho_centroid, rho_min
 from .errors import BadSpec, BadValue, CentroidCutError, DegenerateInput
 from .floating import (DIRECTION_MODES, floating_body_approx, is_nonempty, phi_estimate,
                        phi_from_rho_min)
-from .generators import BodySpec, GeneratedBody, make
+from .generators import BodySpec, make
 from .geometry import Polytope, as_fraction, format_fraction
 from .profiles import MomentSpec, brute_force_extremals, is_feasible, max_mu, min_mu
 from .svgplot import body_svg, profiles_svg
@@ -77,7 +77,7 @@ def _add_body_args(p: argparse.ArgumentParser):
                    help="polytope JSON or body-spec JSON file")
 
 
-def resolve_body(args) -> GeneratedBody:
+def resolve_body(args) -> Polytope:
     if args.input:
         try:
             data = json.loads(Path(args.input).read_text())
@@ -87,7 +87,7 @@ def resolve_body(args) -> GeneratedBody:
             return make(BodySpec.from_dict(data))
         if not isinstance(data, dict):
             raise BadSpec("body input must be a JSON object")
-        return GeneratedBody(body=Polytope.from_dict(data), spec=None)
+        return Polytope.from_dict(data)
     if not args.body:
         raise BadSpec("provide --body KIND or --input FILE")
     try:
@@ -113,10 +113,10 @@ def _search_config(args) -> SearchConfig:
 
 
 def cmd_rho(args) -> int:
-    gen = resolve_body(args)
-    report = rho_centroid(gen.body, _search_config(args))
+    body = resolve_body(args)
+    report = rho_centroid(body, _search_config(args))
     payload = report.to_dict()
-    payload["volume"] = gen.body.volume
+    payload["volume"] = body.volume
     _emit(args, render_json(payload))
     if report.rho_exact > report.rho_n:
         return 3
@@ -124,8 +124,8 @@ def cmd_rho(args) -> int:
 
 
 def cmd_rho_min(args) -> int:
-    gen = resolve_body(args)
-    result = rho_min(gen.body, _search_config(args))
+    body = resolve_body(args)
+    result = rho_min(body, _search_config(args))
     _emit(args, render_json(result.to_dict()))
     if result.report.rho_exact > result.report.rho_n:
         return 3
@@ -133,24 +133,24 @@ def cmd_rho_min(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    gen = resolve_body(args)
+    body = resolve_body(args)
     cfg = _search_config(args)
-    estimate = phi_estimate(gen.body, cfg)
+    estimate = phi_estimate(body, cfg)
     payload = estimate.to_dict()
-    payload["phi_from_rho_min"] = phi_from_rho_min(gen.body, cfg)
+    payload["phi_from_rho_min"] = phi_from_rho_min(body, cfg)
     _emit(args, render_json(payload))
     return 0
 
 
 def cmd_floatbody(args) -> int:
-    gen = resolve_body(args)
+    body = resolve_body(args)
     delta = as_fraction(args.delta)
-    approx = floating_body_approx(gen.body, delta, n_dirs=args.budget,
+    approx = floating_body_approx(body, delta, n_dirs=args.budget,
                                   seed=args.seed, directions=args.dirs)
     if args.format == "svg":
-        if gen.body.dim != 2:
+        if body.dim != 2:
             raise BadSpec("SVG output needs a 2-D body")
-        _emit(args, body_svg(gen.body, approx))
+        _emit(args, body_svg(body, approx))
         return 0
     payload = approx.to_dict()
     nonempty, witness = is_nonempty(approx)
@@ -205,8 +205,7 @@ def cmd_lemma5(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    gen = resolve_body(args)
-    _emit(args, gen.body.to_json() + "\n")
+    _emit(args, render_json(resolve_body(args).to_dict()))
     return 0
 
 

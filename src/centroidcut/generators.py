@@ -1,22 +1,21 @@
 """Deterministic and seeded constructors for test bodies.
 
-Every generator emits exact rational vertices.  Pyramids carry their
-equality prediction: the cut through the centroid parallel to the base
-realizes the ratio (1+1/n)^n - 1 exactly, and the apex side of that cut
-holds exactly the fraction (1+1/n)^-n of the volume.  The profile-to-body
-constructor turns a piecewise-linear concave profile h on [t0, t1] into a
-polytope whose section function along the last axis is h^(n-1) at every
-rational grid point.
+Every generator returns the exact ``Polytope`` of its recipe.  Pyramids
+put the base at height zero and the apex above it, so the last axis is
+their base normal: the cut through the centroid along it realizes the
+ratio (1+1/n)^n - 1 exactly, and its apex side holds exactly the fraction
+(1+1/n)^-n of the volume.  The profile-to-body constructor turns a
+piecewise-linear concave profile h on [t0, t1] into a polytope whose
+section function along the last axis is h^(n-1) at every rational grid
+point.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .asymmetry import rho_bound
 from .errors import BadSpec, BadValue, DegenerateInput
 from .geometry import Polytope, Vec, as_fraction, as_point, convex_hull
 
@@ -48,19 +47,12 @@ class BodySpec:
             raise BadSpec("dimension must be >= 1")
         if self.kind == "pyramid" and self.base not in _BASE_KINDS:
             raise BadSpec(f"unknown pyramid base {self.base!r}")
+        if self.kind == "pyramid" and self.base == "random-hull" and self.m < self.n:
+            raise BadSpec("random-hull pyramid base needs at least n points")
         if self.kind == "random-hull" and self.m < self.n + 1:
             raise BadSpec("random hull needs at least n+1 points")
         if self.kind == "profile-body" and self.profile is None:
             raise BadSpec("profile-body needs a profile")
-
-    def to_dict(self) -> dict:
-        data = {"kind": self.kind, "n": self.n, "m": self.m, "seed": self.seed,
-                "height": self.height, "base": self.base}
-        if self.apex is not None:
-            data["apex"] = list(self.apex)
-        if self.profile is not None:
-            data["profile"] = [list(self.profile[0]), list(self.profile[1])]
-        return data
 
     @staticmethod
     def from_dict(data: dict) -> "BodySpec":
@@ -75,17 +67,6 @@ class BodySpec:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadSpec(f"malformed body spec: {exc}") from exc
-
-
-@dataclass
-class GeneratedBody:
-    """A constructed polytope with whatever exact metadata the recipe implies."""
-
-    body: Polytope
-    spec: BodySpec
-    is_pyramid: bool = False
-    base_normal: tuple | None = None  # points from the base toward the apex
-    known_rho: Fraction | None = None
 
 
 def simplex_body(n: int) -> list[Vec]:
@@ -136,10 +117,10 @@ def _base_points(kind: str, n_base: int, seed: int, m: int) -> list[Vec]:
         return simplex_body(n_base)
     if kind == "cross":
         return cross_body(n_base)
-    return list(random_hull(n_base, max(m, n_base + 1), seed).vertices)
+    return list(random_hull(n_base, m, seed).vertices)
 
 
-def pyramid_body(spec: BodySpec) -> GeneratedBody:
+def pyramid_body(spec: BodySpec) -> Polytope:
     """conv({apex} ∪ base) with the base embedded at height zero."""
     n = spec.n
     if n < 2:
@@ -158,15 +139,10 @@ def pyramid_body(spec: BodySpec) -> GeneratedBody:
         )
     pts = [p + (Fraction(0),) for p in base]
     pts.append(lateral + (height,))
-    body = convex_hull(pts)
-    normal = tuple([0] * (n - 1) + [1])
-    return GeneratedBody(
-        body=body, spec=spec, is_pyramid=True, base_normal=normal,
-        known_rho=rho_bound(n),
-    )
+    return convex_hull(pts)
 
 
-def profile_body(spec: BodySpec) -> GeneratedBody:
+def profile_body(spec: BodySpec) -> Polytope:
     """Profile sweep construction: h(t) * B0 stacked along the last axis.
 
     B0 is the unit (n-1)-cube centered at the origin (unit volume, contains
@@ -198,41 +174,23 @@ def profile_body(spec: BodySpec) -> GeneratedBody:
         else:
             for c in corners:
                 pts.append(tuple(h * x for x in c) + (t,))
-    body = convex_hull(pts)
-
-    affine = len(set(slopes)) == 1
-    apex_first = values[0] == 0
-    apex_last = values[-1] == 0
-    is_pyr = affine and (apex_first or apex_last)
-    normal = None
-    if is_pyr:
-        normal = tuple([0] * (n - 1) + [-1 if apex_first else 1])
-    return GeneratedBody(
-        body=body, spec=spec, is_pyramid=is_pyr, base_normal=normal,
-        known_rho=rho_bound(n) if is_pyr else None,
-    )
+    return convex_hull(pts)
 
 
-def make(spec: BodySpec) -> GeneratedBody:
-    """Build the body a spec describes, with exact metadata where known."""
+def make(spec: BodySpec) -> Polytope:
+    """Build the body a spec describes."""
     n = spec.n
     if spec.kind == "simplex":
-        return GeneratedBody(
-            body=convex_hull(simplex_body(n)), spec=spec, is_pyramid=True,
-            base_normal=tuple([-1] * n),  # toward the apex at the origin
-            known_rho=rho_bound(n),
-        )
+        return convex_hull(simplex_body(n))
     if spec.kind == "cube":
-        return GeneratedBody(
-            body=convex_hull(cube_body(n)), spec=spec, known_rho=Fraction(1))
+        return convex_hull(cube_body(n))
     if spec.kind == "cross":
-        return GeneratedBody(
-            body=convex_hull(cross_body(n)), spec=spec, known_rho=Fraction(1))
+        return convex_hull(cross_body(n))
     if spec.kind == "pyramid":
         return pyramid_body(spec)
     if spec.kind == "profile-body":
         return profile_body(spec)
-    return GeneratedBody(body=random_hull(n, spec.m, spec.seed), spec=spec)
+    return random_hull(n, spec.m, spec.seed)
 
 
 def fleet_specs(count: int, dims: tuple[int, ...], seed: int) -> list[BodySpec]:
@@ -245,7 +203,3 @@ def fleet_specs(count: int, dims: tuple[int, ...], seed: int) -> list[BodySpec]:
         specs.append(BodySpec(kind="random-hull", n=n, m=n + 5 + (i % 4),
                               seed=seed * 100003 + i))
     return specs
-
-
-def spec_to_json(spec: BodySpec) -> str:
-    return json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -10,7 +10,6 @@ C(m, n) subsets of the m input points.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 import os
@@ -387,23 +386,18 @@ class Polytope:
             "vertices": [[format_fraction(c) for c in v] for v in self.vertices],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     @staticmethod
     def from_dict(data: dict) -> "Polytope":
         try:
-            dim = int(data["dim"])
+            dim = data["dim"]
+            if type(dim) is not int or dim < 1:
+                raise ValueError(f"dim must be a positive integer, got {dim!r}")
             vertices = [as_point(v) for v in data["vertices"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DegenerateInput(f"malformed polytope data: {exc}") from exc
         if any(len(v) != dim for v in vertices):
             raise DegenerateInput("vertex length does not match dim")
         return convex_hull(vertices)
-
-    @staticmethod
-    def from_json(text: str) -> "Polytope":
-        return Polytope.from_dict(json.loads(text))
 
 
 def convex_hull(points) -> Polytope:
@@ -422,6 +416,8 @@ def convex_hull(points) -> Polytope:
     if not pts:
         raise DegenerateInput("no points")
     n = len(pts[0])
+    if n < 1:
+        raise DegenerateInput("points need dimension >= 1")
     if any(len(p) != n for p in pts):
         raise DegenerateInput("inconsistent point dimensions")
     cap = max_dim()

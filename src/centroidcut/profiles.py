@@ -14,6 +14,7 @@ trial batches.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,18 +23,15 @@ import numpy as np
 from .asymmetry import rho_bound
 from .errors import BadSpec, BadValue, Infeasible
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 MAX_MU_REL_TOL = 1e-12  # relative bisection width of max_mu's support end
 AFFINE_SWEEP = 400  # shapes per one-segment family the brute-force oracle adds
 CLAIM4_TOL = 1e-9  # slack of claim4_certificate's bound and affine checks
 
 
+@functools.cache
 def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights exact for t * h^(n-1) with linear h (degree n)."""
-    order = max(4, n // 2 + 1)
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(max(4, n // 2 + 1))
 
 
 @dataclass(frozen=True)

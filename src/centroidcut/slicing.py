@@ -27,6 +27,7 @@ from .geometry import (
     as_fraction,
     as_point,
     dot,
+    lift,
     primitive_direction,
 )
 
@@ -90,8 +91,7 @@ class CumulativeEvaluator:
         projections = [dot(self.theta, v) for v in poly.vertices]
         self.breakpoints = sorted(set(projections))
         self.lo, self.hi = self.breakpoints[0], self.breakpoints[-1]
-        self._scale = math.lcm(*(p.denominator for p in projections))
-        self._ints = [p.numerator * (self._scale // p.denominator) for p in projections]
+        self._ints, self._scale = lift(projections)
         # pieces[i] on [breakpoints[i], breakpoints[i+1]], then V above the top
         *self.pieces, top = _prefix_pieces(poly.cells, self._ints, poly.dim, self._scale)
         if top != ([self.total.numerator] + [0] * poly.dim, self.total.denominator):

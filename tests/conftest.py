@@ -33,7 +33,7 @@ def simplex3():
 @pytest.fixture(scope="session")
 def square_pyramid():
     """Unit square base at z = 0, apex above the base center at height 1."""
-    return make(BodySpec(kind="pyramid", n=3)).body
+    return make(BodySpec(kind="pyramid", n=3))
 
 
 @pytest.fixture(scope="session")

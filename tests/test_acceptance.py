@@ -51,9 +51,8 @@ def test_criterion_1_simplex_bound_identities():
     """n = 2..5 simplices: exact rho_n along a facet normal; search within 1e-6."""
     started = time.perf_counter()
     for n in (2, 3, 4, 5):
-        gen = make(BodySpec(kind="simplex", n=n))
-        body = gen.body
-        exact = ratio_at(body, body.centroid, gen.base_normal)
+        body = make(BodySpec(kind="simplex", n=n))
+        exact = ratio_at(body, body.centroid, (-1,) * n)  # toward the apex at 0
         assert exact == RHO_EXPECTED[n] == rho_bound(n)
         report = rho_centroid(body, SearchConfig(random_directions=96, multistart=2))
         assert abs(report.rho - float(RHO_EXPECTED[n])) < 1e-6
@@ -69,17 +68,16 @@ def test_criterion_2_pyramid_equality():
     bases = ["cube", "simplex", "cross", "random-hull"]
     count = 0
     for n in (2, 3, 4):
+        axis = (0,) * (n - 1) + (1,)  # the base normal: apex above z_n = 0
         for k, base in enumerate(bases):
             if n == 2 and base in ("cross", "random-hull"):
                 continue  # 1-D bases coincide with the segment
             spec = BodySpec(kind="pyramid", n=n, base=base, seed=5 + k, m=n + 3,
                             height=str(F(k + 1, 2)),
                             apex=None if k % 2 == 0 else tuple("1/3" for _ in range(n - 1)))
-            gen = make(spec)
-            body = gen.body
-            assert ratio_at(body, body.centroid, gen.base_normal) == rho_bound(n)
-            below = cumulative_volume(body, gen.base_normal,
-                                      dot(gen.base_normal, body.centroid))
+            body = make(spec)
+            assert ratio_at(body, body.centroid, axis) == rho_bound(n)
+            below = cumulative_volume(body, axis, dot(axis, body.centroid))
             apex_fraction = 1 - below / body.volume
             assert apex_fraction == delta_bound(n)
             count += 1
@@ -107,7 +105,7 @@ def test_criterion_4_symmetry_baseline():
     started = time.perf_counter()
     for kind in ("cube", "cross"):
         for n in (2, 3, 4, 5):
-            body = make(BodySpec(kind=kind, n=n)).body
+            body = make(BodySpec(kind=kind, n=n))
             report = rho_centroid(body, SearchConfig(random_directions=48,
                                                      multistart=1))
             assert abs(report.rho - 1.0) < 1e-6, f"{kind} n={n}: {report.rho}"
@@ -175,7 +173,7 @@ def test_criterion_7_claim4_certificate():
 
 
 def test_criterion_8_profile_body_cross_module():
-    """Affine-profile bodies are flagged as exact pyramids and round-trip."""
+    """Affine-profile bodies are exact pyramids along the axis and round-trip."""
     started = time.perf_counter()
     cases = {
         2: (("-2/3", "1/3"), ("0", "1")),
@@ -183,20 +181,20 @@ def test_criterion_8_profile_body_cross_module():
         4: (("-1", "2/3"), ("0", "1")),
     }
     for n, profile_data in cases.items():
-        gen = make(BodySpec(kind="profile-body", n=n, profile=profile_data))
-        assert gen.is_pyramid
-        report = rho_centroid(gen.body, SearchConfig(random_directions=48,
-                                                     multistart=1))
+        body = make(BodySpec(kind="profile-body", n=n, profile=profile_data))
+        axis = (0,) * (n - 1) + (1,)  # h(t0) = 0: the apex is on the -axis side
+        assert ratio_at(body, body.centroid, axis) == rho_bound(n)
+        report = rho_centroid(body, SearchConfig(random_directions=48,
+                                                 multistart=1))
         assert report.equality_exact
         assert report.rho_exact == rho_bound(n)
         # exact section round-trip on a rational grid
         t0, t1 = F(profile_data[0][0]), F(profile_data[0][1])
         h0, h1 = F(profile_data[1][0]), F(profile_data[1][1])
-        axis = tuple([0] * (n - 1) + [1])
         for k in range(9):
             t = t0 + F(k, 8) * (t1 - t0)
             h = h0 + (h1 - h0) * (t - t0) / (t1 - t0)
-            assert section_value(gen.body, axis, t) == h ** (n - 1)
+            assert section_value(body, axis, t) == h ** (n - 1)
     _report("criterion 8 (profile-body cross-module consistency)", started)
 
 

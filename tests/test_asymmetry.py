@@ -125,7 +125,7 @@ class TestRhoCentroid:
         assert report.equality_exact
 
     def test_simplex_n4(self):
-        body = make(BodySpec(kind="simplex", n=4)).body
+        body = make(BodySpec(kind="simplex", n=4))
         report = rho_centroid(body, LIGHT)
         assert report.rho_exact == F(369, 256)
         assert report.equality_exact
@@ -145,9 +145,8 @@ class TestPyramidEquality:
     @pytest.mark.parametrize("n,base", [(2, "cube"), (3, "simplex"), (3, "random-hull"),
                                         (4, "cube"), (4, "cross")])
     def test_exact_equality_and_flag(self, n, base):
-        gen = make(BodySpec(kind="pyramid", n=n, base=base, seed=3, height="2/3"))
-        body = gen.body
-        assert ratio_at(body, body.centroid, gen.base_normal) == rho_bound(n)
+        body = make(BodySpec(kind="pyramid", n=n, base=base, seed=3, height="2/3"))
+        assert ratio_at(body, body.centroid, (0,) * (n - 1) + (1,)) == rho_bound(n)
         report = rho_centroid(body, LIGHT)
         assert report.equality_exact and report.pyramid_like
         assert report.rho_exact == rho_bound(n)
@@ -221,7 +220,7 @@ class TestMonotoneSplit:
 
 class TestRhoMin:
     def test_symmetric_body_reaches_one(self):
-        body = make(BodySpec(kind="cross", n=3)).body
+        body = make(BodySpec(kind="cross", n=3))
         result = rho_min(body, LIGHT)
         assert result.value == pytest.approx(1.0, abs=1e-6)
         assert all(abs(float(c)) < 1e-6 for c in result.point)
@@ -234,6 +233,20 @@ class TestRhoMin:
         body = random_hull(3, 9, 99)
         centroid_value = rho_centroid(body, LIGHT).rho
         assert rho_min(body, LIGHT).value <= centroid_value + 1e-9
+
+
+class TestFloatScale:
+    """The float searches scale a body far from unit size exactly to unit size."""
+
+    QUAD = [(0, 0), (3, 0), (1, 2), (0, 1)]
+
+    @pytest.mark.parametrize("exponent", (600, -600, -1100))
+    def test_scaled_body_matches_unit_body(self, exponent):
+        unit = rho_centroid(convex_hull(self.QUAD), LIGHT)
+        body = convex_hull([tuple(c * F(2) ** exponent for c in p) for p in self.QUAD])
+        report = rho_centroid(body, LIGHT)
+        assert (report.rho_exact, report.theta_star) == (unit.rho_exact, unit.theta_star)
+        assert rho_min(body, LIGHT).value < report.rho
 
 
 class TestPhi:

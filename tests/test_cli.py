@@ -150,7 +150,7 @@ class TestGen:
         code, _ = run_cli(capsys, "gen", "--kind", "pyramid", "--n", "3",
                           "--out", str(out_file))
         assert code == 0
-        poly = Polytope.from_json(out_file.read_text())
+        poly = Polytope.from_dict(json.loads(out_file.read_text()))
         assert poly.volume == F(1, 3)
 
     def test_roundtrip_through_rho(self, capsys, tmp_path):
@@ -241,6 +241,8 @@ class TestInputErrors:
         ("gen", "--kind", "profile-body", "--n", "2", "--profile", "[[0,1],[1,NaN]]"),
         # a pyramids suite with no dimension >= 2 would check nothing
         ("verify", "--suite", "pyramids", "--dims", "1"),
+        # a random-hull base of an n-pyramid needs n points
+        ("gen", "--kind", "pyramid", "--n", "3", "--base", "random-hull", "--m", "2"),
     ])
     def test_exit_1(self, capsys, argv):
         code = main(list(argv))
@@ -282,6 +284,9 @@ class TestInputErrors:
         ("rho", {"dim": 2, "vertices": [[0, 0], [1, 0], [0, math.nan]]}),
         ("gen", {"dim": math.inf, "vertices": [[0, 0], [1, 0], [0, 1]]}),
         ("gen", {"dim": 2, "vertices": [[True, 0], [2, 0], [0, 1]]}),
+        ("rho", {"dim": 0, "vertices": [[]]}),
+        ("gen", {"dim": 1.5, "vertices": [[0], [1]]}),
+        ("gen", {"dim": True, "vertices": [[0], [1]]}),
     ])
     def test_non_finite_polytope_exit_2(self, capsys, tmp_path, command, data):
         poly = tmp_path / "f.json"
@@ -338,6 +343,21 @@ class TestOptionSurface:
         fields = {f.name: f.default for f in dataclasses.fields(SearchConfig)}
         assert fields == {"seed": 0, "random_directions": 256, "multistart": 3,
                           "nm_maxiter": 160, "tol": 1e-9}
+
+    def test_public_names(self):
+        assert centroidcut.__all__ == [
+            "AsymmetryReport", "BadDelta", "BadSpec", "BadValue", "BodySpec",
+            "CentroidCutError", "ConcaveProfile", "CumulativeEvaluator", "DegenerateInput",
+            "Facet", "FloatingBodyApprox", "Infeasible", "Location", "MomentSpec",
+            "Polytope", "RefNotInterior", "SearchConfig", "SectionProfile", "affine_image",
+            "as_fraction", "as_point", "brute_force_extremals", "claim4_certificate",
+            "convex_hull", "cumulative_volume", "cut_depth", "delta_bound",
+            "floating_body_approx", "is_feasible", "is_nonempty", "make", "max_dim",
+            "max_mu", "min_mu", "moment", "mu", "phi_estimate", "profile", "random_hull",
+            "ratio_at", "rho_at_point", "rho_bound", "rho_centroid", "rho_min",
+            "section_moment", "section_value", "support_interval",
+        ]
+        assert all(hasattr(centroidcut, name) for name in centroidcut.__all__)
 
     def test_one_environment_variable(self):
         assert MAX_DIM_ENV == "CENTROIDCUT_MAXDIM"

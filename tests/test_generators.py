@@ -5,37 +5,38 @@ from fractions import Fraction
 
 import pytest
 
-from centroidcut import BadSpec, ratio_at, rho_bound, section_value
-from centroidcut.generators import (
-    BodySpec,
-    fleet_specs,
-    make,
-    random_hull,
-    spec_to_json,
+from centroidcut import (
+    BadSpec,
+    cumulative_volume,
+    delta_bound,
+    ratio_at,
+    rho_bound,
+    section_value,
 )
+from centroidcut.generators import BodySpec, fleet_specs, make, random_hull
 
 F = Fraction
 
 
 class TestMake:
     def test_pyramid_square_base(self):
-        gen = make(BodySpec(kind="pyramid", n=3))
-        assert len(gen.body.vertices) == 5
-        assert gen.body.volume == F(1, 3)
-        assert gen.body.centroid[2] == F(1, 4)
-        assert gen.is_pyramid
-        assert gen.known_rho == F(37, 27)
+        body = make(BodySpec(kind="pyramid", n=3))
+        assert len(body.vertices) == 5
+        assert body.volume == F(1, 3)
+        assert body.centroid[2] == F(1, 4)
+        assert ratio_at(body, body.centroid, (0, 0, 1)) == F(37, 27)
 
     def test_cross_polytope(self):
-        gen = make(BodySpec(kind="cross", n=3))
-        assert len(gen.body.vertices) == 6
-        assert gen.body.volume == F(4, 3)
-        assert gen.body.centroid == (0, 0, 0)
+        body = make(BodySpec(kind="cross", n=3))
+        assert len(body.vertices) == 6
+        assert body.volume == F(4, 3)
+        assert body.centroid == (0, 0, 0)
 
     def test_simplex_metadata(self):
-        gen = make(BodySpec(kind="simplex", n=4))
-        assert gen.body.volume == F(1, 24)
-        assert ratio_at(gen.body, gen.body.centroid, gen.base_normal) == rho_bound(4)
+        body = make(BodySpec(kind="simplex", n=4))
+        assert body.volume == F(1, 24)
+        # cut parallel to the facet opposite the apex at the origin
+        assert ratio_at(body, body.centroid, (-1, -1, -1, -1)) == rho_bound(4)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closed_forms(self, n):
@@ -46,50 +47,50 @@ class TestMake:
             "cross": (F(2**n, math.factorial(n)), F(0)),
         }
         for kind, (volume, coord) in closed.items():
-            body = make(BodySpec(kind=kind, n=n)).body
+            body = make(BodySpec(kind=kind, n=n))
             assert body.volume == volume
             assert body.centroid == (coord,) * n
 
     def test_cube_metadata(self):
-        gen = make(BodySpec(kind="cube", n=2))
-        assert gen.body.volume == 1
-        assert gen.known_rho == 1
+        body = make(BodySpec(kind="cube", n=2))
+        assert body.volume == 1
+        assert all(ratio_at(body, body.centroid, d) == 1 for d in ((1, 0), (1, 1), (2, -1)))
 
     def test_pyramid_prediction_matches_ratio(self):
         for n, base in [(2, "simplex"), (3, "cross"), (4, "cube")]:
-            gen = make(BodySpec(kind="pyramid", n=n, base=base, height="3/2"))
-            r = ratio_at(gen.body, gen.body.centroid, gen.base_normal)
-            assert r == gen.known_rho == rho_bound(n)
+            body = make(BodySpec(kind="pyramid", n=n, base=base, height="3/2"))
+            assert ratio_at(body, body.centroid, (0,) * (n - 1) + (1,)) == rho_bound(n)
 
     def test_offset_apex_still_exact(self):
-        gen = make(BodySpec(kind="pyramid", n=3, apex=("2", "-1/3"), height="1/2"))
-        assert ratio_at(gen.body, gen.body.centroid, gen.base_normal) == rho_bound(3)
+        body = make(BodySpec(kind="pyramid", n=3, apex=("2", "-1/3"), height="1/2"))
+        assert ratio_at(body, body.centroid, (0, 0, 1)) == rho_bound(3)
 
 
 class TestProfileBody:
     def test_affine_profile_is_pyramid(self):
         spec = BodySpec(kind="profile-body", n=3, profile=(("-3/4", "1/4"), ("0", "1")))
-        gen = make(spec)
-        assert gen.is_pyramid
-        assert gen.base_normal == (0, 0, -1)
-        assert ratio_at(gen.body, gen.body.centroid, gen.base_normal) == rho_bound(3)
+        body = make(spec)
+        assert ratio_at(body, body.centroid, (0, 0, 1)) == rho_bound(3)
+        # h(-3/4) = 0: the apex side lies below the centroid and holds delta_3
+        below = cumulative_volume(body, (0, 0, 1), body.centroid[2])
+        assert below == delta_bound(3) * body.volume
 
     def test_roundtrip_exact_at_rational_points(self):
         spec = BodySpec(kind="profile-body", n=3,
                         profile=(("-1", "0", "1"), ("1/2", "1", "1/2")))
-        gen = make(spec)
+        body = make(spec)
         checks = [(F(-1), F(1, 2)), (F(-1, 2), F(3, 4)), (F(0), F(1)),
                   (F(1, 2), F(3, 4)), (F(1), F(1, 2)), (F(1, 3), F(5, 6))]
         for t, h in checks:
-            assert section_value(gen.body, (0, 0, 1), t) == h ** 2
+            assert section_value(body, (0, 0, 1), t) == h ** 2
 
     def test_roundtrip_n4(self):
         spec = BodySpec(kind="profile-body", n=4,
                         profile=(("0", "2"), ("1", "0")))
-        gen = make(spec)
-        assert gen.is_pyramid
+        body = make(spec)
+        assert ratio_at(body, body.centroid, (0, 0, 0, 1)) == rho_bound(4)
         for t, h in [(F(0), F(1)), (F(1), F(1, 2)), (F(3, 2), F(1, 4))]:
-            assert section_value(gen.body, (0, 0, 0, 1), t) == h ** 3
+            assert section_value(body, (0, 0, 0, 1), t) == h ** 3
 
     def test_nonconcave_profile_rejected(self):
         with pytest.raises(BadSpec):
@@ -98,8 +99,8 @@ class TestProfileBody:
 
     def test_truncated_profile_not_pyramid(self):
         spec = BodySpec(kind="profile-body", n=2, profile=(("0", "1"), ("1", "1/2")))
-        gen = make(spec)
-        assert not gen.is_pyramid
+        body = make(spec)
+        assert ratio_at(body, body.centroid, (0, 1)) < rho_bound(2)
 
 
 class TestRandomHull:
@@ -111,7 +112,7 @@ class TestRandomHull:
     def test_determinism_byte_identical(self):
         a = random_hull(3, 10, 42)
         b = random_hull(3, 10, 42)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_triangle(self):
         body = random_hull(2, 3, 5)
@@ -132,14 +133,16 @@ class TestSpecs:
         with pytest.raises(BadSpec):
             BodySpec(kind="profile-body", n=3)
         with pytest.raises(BadSpec):
+            BodySpec(kind="pyramid", n=3, base="random-hull", m=2)
+        with pytest.raises(BadSpec):
             make(BodySpec(kind="pyramid", n=3, height="0"))
 
     def test_spec_json_roundtrip(self):
         spec = BodySpec(kind="pyramid", n=3, base="cross", height="2/3",
                         apex=("1/2", "1/2"))
-        again = BodySpec.from_dict(spec.to_dict())
-        assert again == spec
-        assert spec_to_json(spec) == spec_to_json(again)
+        data = {"kind": "pyramid", "n": 3, "base": "cross", "height": "2/3",
+                "apex": ["1/2", "1/2"]}
+        assert BodySpec.from_dict(data) == spec
 
     def test_fleet_spread(self):
         specs = fleet_specs(9, (2, 3, 4), 7)
@@ -149,5 +152,4 @@ class TestSpecs:
     def test_make_is_deterministic(self):
         a = make(BodySpec(kind="pyramid", n=3, base="random-hull", seed=5))
         b = make(BodySpec(kind="pyramid", n=3, base="random-hull", seed=5))
-        assert a is not b and a.body.to_json() == b.body.to_json()
-        assert (a.base_normal, a.known_rho) == (b.base_normal, b.known_rho)
+        assert a is not b and a.to_dict() == b.to_dict()

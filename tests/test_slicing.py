@@ -157,7 +157,7 @@ class TestIntegerScale:
 
     def test_pyramid_axis_in_five_dimensions(self):
         # the base's 16 vertices share one projection: a node of multiplicity 5 per cell
-        self.check(make(BodySpec(kind="pyramid", n=5)).body, (0, 0, 0, 0, 1), 4)
+        self.check(make(BodySpec(kind="pyramid", n=5)), (0, 0, 0, 0, 1), 4)
 
     def test_segment(self):
         self.check(convex_hull([(F(-1, 2),), (3,)]), (F(-2, 3),), 5)
@@ -397,8 +397,8 @@ class TestBrunnCertificate:
     def test_accepts_cone_pieces(self, n):
         """On a cone piece f = c (t - r)^(n-1), g vanishes identically."""
         assert fabricated(n, [0, 1], [power(0, 3, n - 1)]).brunn_concave()
-        gen = make(BodySpec(kind="pyramid", n=n, base="cube"))
-        ev = CumulativeEvaluator(gen.body, gen.base_normal)
+        body = make(BodySpec(kind="pyramid", n=n, base="cube"))
+        ev = CumulativeEvaluator(body, (0,) * (n - 1) + (1,))
         assert ev.brunn_concave() and sympy_brunn(ev)
 
     def test_rejects_a_jump_in_f(self):
