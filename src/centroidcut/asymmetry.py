@@ -33,7 +33,7 @@ from .geometry import (
     seeded_directions,
     vsub,
 )
-from .slicing import CumulativeEvaluator, float_cut_volume
+from .slicing import CumulativeEvaluator, FloatPieces, float_cut_volume
 
 
 def rho_bound(n: int) -> Fraction:
@@ -170,19 +170,73 @@ def _tangent_basis(theta: np.ndarray) -> np.ndarray:
     return vt[1:].T
 
 
+def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float,
+                 fatol: float) -> tuple[np.ndarray, float]:
+    """Minimize f from x0 by the Nelder-Mead simplex method (Nelder & Mead
+    1965) with the standard coefficients (reflect 1, expand 2, contract 1/2,
+    shrink 1/2), step for step as SciPy 1.17's non-adaptive
+    ``minimize(method="Nelder-Mead")`` takes them: the same start simplex,
+    expressions, sorts and stopping test, so the same floats.  Returns the
+    best vertex and its value."""
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(p) for p in sim], dtype=float)
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    # inf - inf in the stopping test, where several vertices lie outside the
+    # body, reads as not converged, and an objective that overflows scores
+    # +inf, so neither need warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(1, maxiter):
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            ind = np.argsort(fsim)
+            sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], float(np.min(fsim))
+
+
 def _refine_direction(fb: _FloatBody, x: np.ndarray, theta0: np.ndarray,
                       cfg: SearchConfig) -> np.ndarray:
-    from scipy.optimize import minimize  # loaded only where a search runs
     base = theta0 / np.linalg.norm(theta0)
     tb = _tangent_basis(base)
 
     def objective(u):
         return -fb.ratio(x, base + tb @ u)
 
-    res = minimize(objective, np.zeros(theta0.size - 1), method="Nelder-Mead",
-                   options={"maxiter": cfg.nm_maxiter, "xatol": 1e-10,
-                            "fatol": cfg.tol / 10, "disp": False})
-    return base + tb @ res.x
+    u, _ = _nelder_mead(objective, np.zeros(theta0.size - 1), cfg.nm_maxiter,
+                        1e-10, cfg.tol / 10)
+    return base + tb @ u
 
 
 def _rationalize_direction(theta: np.ndarray) -> list[Fraction]:
@@ -267,6 +321,9 @@ class RhoMinResult:
 def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
     """Approximate minimizer of x -> rho(K, x) by descent from the centroid.
 
+    The objective is the largest cut ratio over a fixed direction list (the
+    exact candidates at the centroid plus seeded ones), read from each
+    direction's exact pieces of V built once (:class:`FloatPieces`).
     Non-interior iterates score +inf, which keeps the simplex search inside
     the body; the outcome never exceeds the centroid value.
     """
@@ -274,10 +331,9 @@ def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
     n = poly.dim
     fb = _FloatBody(poly)
     dirs = exact_candidate_directions(poly, poly.centroid)
-    dirs_f = [_float_direction(d) for d in dirs]
-    dirs_f += [_float_direction(d)
-               for d in distinct_directions(seeded_directions(n, cfg.seed + 1),
-                                            min(cfg.random_directions, 48), signed=False)]
+    dirs += distinct_directions(seeded_directions(n, cfg.seed + 1),
+                                min(cfg.random_directions, 48), signed=False)
+    pieces = FloatPieces([CumulativeEvaluator(poly, d) for d in dirs], fb.unit)
     facet_n = np.array([[float(c) for c in f.normal] for f in poly.facets])
     facet_c = fb.point([f.offset for f in poly.facets])
 
@@ -285,16 +341,18 @@ def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
         return bool(np.all(facet_n @ xf < facet_c))
 
     def objective(xf: np.ndarray) -> float:
+        """The largest cut ratio through xf over the fixed directions."""
         if not interior(xf):
             return math.inf
-        return max(fb.ratio(xf, th) for th in dirs_f)
+        below = pieces.values(xf)
+        above = fb.total - below
+        if not (np.all(below > 0.0) and np.all(above > 0.0)):
+            return math.inf
+        return float(np.max(np.maximum(below / above, above / below)))
 
-    from scipy.optimize import minimize
     x0 = fb.point(poly.centroid)
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxiter": cfg.nm_maxiter * n, "xatol": 1e-10,
-                            "fatol": cfg.tol, "disp": False})
-    xbest = res.x if np.isfinite(res.fun) and interior(res.x) else x0
+    xs, fun = _nelder_mead(objective, x0, cfg.nm_maxiter * n, 1e-10, cfg.tol)
+    xbest = xs if np.isfinite(fun) and interior(xs) else x0
 
     # pull the iterate to an exactly-interior rational point
     xr = tuple(Fraction(float(c)).limit_denominator(10**9) * fb.unit for c in xbest)

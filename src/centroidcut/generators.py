@@ -57,9 +57,11 @@ class BodySpec:
     @staticmethod
     def from_dict(data: dict) -> "BodySpec":
         try:
+            n, m, seed = data["n"], data.get("m", 10), data.get("seed", 0)
+            if not all(type(v) is int for v in (n, m, seed)):
+                raise ValueError(f"n, m and seed must be integers, got {n!r}, {m!r}, {seed!r}")
             return BodySpec(
-                kind=data["kind"], n=int(data["n"]), m=int(data.get("m", 10)),
-                seed=int(data.get("seed", 0)), height=str(data.get("height", "1")),
+                kind=data["kind"], n=n, m=m, seed=seed, height=str(data.get("height", "1")),
                 base=data.get("base", "cube"),
                 apex=tuple(data["apex"]) if "apex" in data else None,
                 profile=(tuple(data["profile"][0]), tuple(data["profile"][1]))

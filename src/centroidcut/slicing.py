@@ -8,8 +8,10 @@ are the exact derivatives of the pieces, normalized so that integrating f
 over the raw projection values t = x . theta recovers vol(K), which keeps the
 slice measure rational for non-unit rational normals (the Euclidean
 (n-1)-volume differs by the factor |theta|, irrational in general and only
-used for display).  The float searches use the frustum recursion (Varsi
-1973) instead, since truncated powers cancel badly in floating point.
+used for display).  The direction searches use the frustum recursion (Varsi
+1973) instead, since truncated powers cancel badly in floating point; the
+point search reads the exact pieces, Taylor-shifted before they are rounded
+(:class:`FloatPieces`).
 """
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+
+import numpy as np
 
 from .errors import RefNotInterior
 from .geometry import (
@@ -58,7 +62,7 @@ def _cut_fraction(values) -> float:
 def float_cut_volume(cells, vals) -> float:
     """Floating-point volume below a cut: the frustum recursion in floats,
     summed over (float volume, vertex ids) cells, from each vertex's value
-    x_i·theta - t.  Only the float searches and ``value_float`` use it."""
+    x_i·theta - t.  Only the direction searches and ``value_float`` use it."""
     acc = 0.0
     for vol, ids in cells:
         acc += vol * _cut_fraction([vals[i] for i in ids])
@@ -357,6 +361,68 @@ def _grid_root(q: list[int], A: int, B: int, D: int, kl: int, kh: int) -> int:
             nxt = (kl + kh) // 2
         last, m = abs(nxt - m), nxt
     return kl
+
+
+def _scaled_float(num: int, den: int, exp: int) -> float:
+    """num 2^exp / den for den > 0, correctly rounded; +-inf where it overflows."""
+    try:
+        return (num << exp) / den if exp >= 0 else num / (den << -exp)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+class FloatPieces:
+    """The pieces of V along many directions in floats, to score many points.
+
+    Built once from exact evaluators for a body in floats divided by the
+    power of two ``unit``.  Row i of ``theta`` is evaluator i's direction d
+    times 2^-e, its largest entry in [1/2, 1); ``breaks[i]`` holds that
+    direction's breakpoints divided by S = 2^e unit, padded with +inf.
+    ``coefs[i, k]`` is zero for k = 0 (below the body), the piece above
+    breakpoint k - 1 for 0 < k < len(breakpoints), shifted exactly to that
+    breakpoint's float value, and the constant vol K / unit^n from the top
+    breakpoint on.  Each coefficient is exact until its one rounding, so no
+    float cancels as truncated powers would.
+    """
+
+    def __init__(self, evaluators, unit: Fraction):
+        n = evaluators[0].poly.dim
+        ue = unit.numerator.bit_length() - unit.denominator.bit_length()
+        width = max(len(ev.breakpoints) for ev in evaluators)
+        self.rows = np.arange(len(evaluators))
+        self.theta = np.empty((len(evaluators), n))
+        self.breaks = np.full((len(evaluators), width), math.inf)
+        self.coefs = np.zeros((len(evaluators), width + 1, n + 1))
+        for i, ev in enumerate(evaluators):
+            e = max(abs(c.numerator) // c.denominator for c in ev.theta).bit_length()
+            self.theta[i] = [_scaled_float(c.numerator, c.denominator, -e) for c in ev.theta]
+            s = e + ue  # S = 2^s
+            b = [_scaled_float(c.numerator, c.denominator, -s) for c in ev.breakpoints]
+            self.breaks[i, :len(b)] = b
+            for k, ((ints, den), origin) in enumerate(zip(ev.pieces, b), start=1):
+                p, q = origin.as_integer_ratio()  # the origin times S is p 2^s / q
+                p, q = (p << s, q) if s >= 0 else (p, q << -s)
+                # c_j = sum_m ints[m] C(m, j) p^(m-j) q^(n-m) / (den q^(n-j)) S^j / unit^n
+                pp = [p ** j for j in range(n + 1)]
+                qq = [q ** j for j in range(n + 1)]
+                for j in range(n + 1):
+                    num = sum(c * math.comb(m, j) * pp[m - j] * qq[n - m]
+                              for m, c in enumerate(ints) if m >= j)
+                    self.coefs[i, k, j] = _scaled_float(num, den * qq[n - j], s * j - ue * n)
+            self.coefs[i, len(b):, 0] = _scaled_float(ev.total.numerator, ev.total.denominator,
+                                                      -ue * n)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """V / unit^n at x·theta along every direction, for x in the body's
+        float scale: one piece lookup and one Horner pass per direction."""
+        t = self.theta @ x
+        k = (self.breaks <= t[:, None]).sum(axis=1)
+        c = self.coefs[self.rows, k]
+        u = t - self.breaks[self.rows, np.maximum(k - 1, 0)]
+        v = c[:, -1]
+        for j in range(c.shape[1] - 2, -1, -1):
+            v = v * u + c[:, j]
+        return v
 
 
 def cumulative_volume(poly: Polytope, theta, t) -> Fraction:

@@ -24,9 +24,11 @@ from centroidcut import (
     rho_centroid,
     rho_min,
 )
-from centroidcut.asymmetry import _FloatBody, exact_candidate_directions
+from centroidcut import asymmetry
+from centroidcut.asymmetry import _FloatBody, _nelder_mead, exact_candidate_directions
 from centroidcut.generators import BodySpec, make, random_hull
 from centroidcut.geometry import dot
+from centroidcut.verify import fleet_bodies
 
 F = Fraction
 
@@ -235,6 +237,97 @@ class TestRhoMin:
         assert rho_min(body, LIGHT).value <= centroid_value + 1e-9
 
 
+    def test_point_search_never_reads_float_ratio(self, monkeypatch):
+        """The search over x scores points from the exact pieces; only the
+        exact reports at its end (rho_at_point) run the float recursion."""
+        body = random_hull(3, 9, 99)
+        expected = rho_min(body, LIGHT).to_dict()
+        in_report = [False]
+        real_ratio, real_at_point = _FloatBody.ratio, asymmetry.rho_at_point
+
+        def ratio(self, x, theta):
+            if not in_report[0]:
+                raise AssertionError("rho_min's point search called _FloatBody.ratio")
+            return real_ratio(self, x, theta)
+
+        def at_point(*args, **kwargs):
+            in_report[0] = True
+            try:
+                return real_at_point(*args, **kwargs)
+            finally:
+                in_report[0] = False
+
+        monkeypatch.setattr(_FloatBody, "ratio", ratio)
+        monkeypatch.setattr(asymmetry, "rho_at_point", at_point)
+        assert rho_min(body, LIGHT).to_dict() == expected
+
+
+class TestNelderMead:
+    """``_nelder_mead`` takes SciPy's non-adaptive Nelder-Mead steps, so SciPy
+    (a test-only dependency) must return the same floats, bit for bit."""
+
+    @staticmethod
+    def assert_same_as_scipy(f, x0, maxiter, xatol, fatol):
+        """Same points evaluated in the same order, same result."""
+        from scipy.optimize import minimize
+
+        def traced(log):
+            def g(x):
+                log.append([float.hex(float(c)) for c in x])
+                return f(x)
+            return g
+
+        ours, theirs = [], []
+        x, fun = _nelder_mead(traced(ours), x0, maxiter, xatol, fatol)
+        with np.errstate(invalid="ignore"):
+            res = minimize(traced(theirs), x0, method="Nelder-Mead",
+                           options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+        assert ours == theirs
+        assert [float.hex(float(c)) for c in x] == [float.hex(float(c)) for c in res.x]
+        assert float.hex(fun) == float.hex(float(res.fun))
+        return x, fun
+
+    @pytest.mark.parametrize("maxiter", (5, 60, 600))
+    def test_smooth(self, maxiter):
+        def rosenbrock(x):
+            return float(sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+        # the zero entry starts its simplex edge at 0.00025, the others at 1.05 x_k
+        self.assert_same_as_scipy(rosenbrock, np.array([-1.2, 0.0, 0.7]), maxiter, 1e-10, 1e-12)
+        self.assert_same_as_scipy(lambda x: float((x[0] - 3.0) ** 2), np.array([0.0]),
+                                  maxiter, 1e-10, 1e-12)
+
+    def test_plateaus(self):
+        """A staircase: ties between vertex values, and shrink steps."""
+        def stairs(x):
+            return float(math.floor(8.0 * float(np.sum(x * x))))
+        self.assert_same_as_scipy(stairs, np.array([1.7, -0.9]), 200, 1e-10, 1e-12)
+
+    def test_inf_outside_box(self):
+        def boxed(x):
+            if np.any(np.abs(x) >= 1.0):
+                return math.inf
+            return float(np.sum((x - np.array([0.99, -0.5])) ** 2))
+        x, fun = self.assert_same_as_scipy(boxed, np.array([0.97, 0.2]), 400, 1e-10, 1e-12)
+        assert math.isfinite(fun) and np.all(np.abs(x) < 1.0)
+        # every start vertex outside: the stopping test meets inf - inf
+        x, fun = self.assert_same_as_scipy(boxed, np.array([2.0, 3.0]), 50, 1e-10, 1e-12)
+
+    def test_search_objectives(self, monkeypatch):
+        """The real objectives of rho_min (over points) and _refine_direction
+        (over a sphere chart) on three fleet bodies."""
+        sizes = []
+
+        def checked(f, x0, maxiter, xatol, fatol):
+            sizes.append(x0.size)
+            return self.assert_same_as_scipy(f, x0, maxiter, xatol, fatol)
+
+        monkeypatch.setattr(asymmetry, "_nelder_mead", checked)
+        for body in fleet_bodies(3, (2, 3, 4), 7):
+            rho_min(body, LIGHT)
+            assert sizes.count(body.dim) == 1 and sizes.count(body.dim - 1) >= 2
+            sizes.clear()
+
+
 class TestFloatScale:
     """The float searches scale a body far from unit size exactly to unit size."""
 
@@ -247,6 +340,17 @@ class TestFloatScale:
         report = rho_centroid(body, LIGHT)
         assert (report.rho_exact, report.theta_star) == (unit.rho_exact, unit.theta_star)
         assert rho_min(body, LIGHT).value < report.rho
+
+
+    def test_piece_coefficients_beyond_float_range(self):
+        """A vertex 2^-600 off a face of a 5-simplex: along that face's normal
+        the piece between them has Taylor coefficients near 2^2394, which
+        round to +-inf, and rho_min still runs."""
+        w = F(1, 2 ** 600)
+        body = convex_hull([(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (w, 1, 0, 0, 0),
+                            (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
+        cfg = SearchConfig(random_directions=16, multistart=1, nm_maxiter=20)
+        assert rho_min(body, cfg).value <= rho_centroid(body, cfg).rho
 
 
 class TestPhi:
@@ -269,11 +373,16 @@ class TestPhi:
 
 
 def test_import_does_not_load_scipy():
-    """SciPy is imported only where a Nelder-Mead search runs."""
+    """No search loads SciPy: Nelder-Mead is in-house."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, centroidcut; print('scipy' in sys.modules)"
+    code = ("import sys, centroidcut as c\n"
+            "body = c.convex_hull([(0, 0), (3, 0), (1, 2), (0, 1)])\n"
+            "cfg = c.SearchConfig(random_directions=16, multistart=1, nm_maxiter=20)\n"
+            "c.rho_centroid(body, cfg)\n"
+            "c.rho_min(body, cfg)\n"
+            "print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"

@@ -55,11 +55,13 @@ class TestRho:
     def test_coordinates_near_float_max(self, capsys, tmp_path, command):
         """The float searches scale the body and every direction by powers of
         two, so a vertex at 1e308 overflows neither a projection, a norm nor
-        the conversion of a direction with 1,025-bit components."""
+        the conversion of a direction with 1,025-bit components, and no
+        floating-point warning reaches stderr."""
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"dim": 2, "vertices": [[1e308, 0], [1, 0], [0, 1]]}))
-        code, out = run_cli(capsys, command, "--input", str(big))
-        assert code == 0
+        code = main([command, "--input", str(big)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
         report = json.loads(out)
         report = report.get("report", report)
         assert report["rho"] == 1.25 and report["equality_exact"] is True
@@ -243,9 +245,20 @@ class TestInputErrors:
         ("verify", "--suite", "pyramids", "--dims", "1"),
         # a random-hull base of an n-pyramid needs n points
         ("gen", "--kind", "pyramid", "--n", "3", "--base", "random-hull", "--m", "2"),
+        # a body spec's n, m and seed are JSON integers, not floats or bools
+        # (a dict stands for a spec file holding it)
+        ("gen", "--input", {"kind": "cube", "n": 2.7}),
+        ("gen", "--input", {"kind": "cube", "n": True}),
+        ("gen", "--input", {"kind": "random-hull", "n": 2, "m": 5.0}),
+        ("rho", "--input", {"kind": "random-hull", "n": 2, "seed": False}),
     ])
-    def test_exit_1(self, capsys, argv):
-        code = main(list(argv))
+    def test_exit_1(self, capsys, tmp_path, argv):
+        spec = tmp_path / "spec.json"
+        for arg in argv:
+            if isinstance(arg, dict):
+                spec.write_text(json.dumps(arg))
+        argv = [str(spec) if isinstance(arg, dict) else arg for arg in argv]
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:")

@@ -136,6 +136,11 @@ class TestSpecs:
             BodySpec(kind="pyramid", n=3, base="random-hull", m=2)
         with pytest.raises(BadSpec):
             make(BodySpec(kind="pyramid", n=3, height="0"))
+        # JSON specs take n, m and seed as integers only, as Polytope.from_dict takes dim
+        for bad in ({"n": 2.7}, {"n": True}, {"n": "3"}, {"n": 2, "m": 5.0},
+                    {"n": 2, "seed": 1.5}, {"n": 2, "seed": False}):
+            with pytest.raises(BadSpec):
+                BodySpec.from_dict({"kind": "random-hull", **bad})
 
     def test_spec_json_roundtrip(self):
         spec = BodySpec(kind="pyramid", n=3, base="cross", height="2/3",

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -21,9 +22,17 @@ from centroidcut import (
     section_value,
     support_interval,
 )
+from centroidcut.asymmetry import _FloatBody, exact_candidate_directions
 from centroidcut.generators import BodySpec, make, random_hull
-from centroidcut.geometry import Polytope, dot, seeded_directions
-from centroidcut.slicing import CumulativeEvaluator, _mul, _nonpositive, _poly_eval
+from centroidcut.geometry import Polytope, distinct_directions, dot, seeded_directions
+from centroidcut.slicing import (
+    CumulativeEvaluator,
+    FloatPieces,
+    _mul,
+    _nonpositive,
+    _poly_eval,
+    float_cut_volume,
+)
 from oracles import Halfspace, Simplex, clip_simplex, simplex_cut_fraction, slice_hull_section
 
 F = Fraction
@@ -212,6 +221,48 @@ class TestSectionValue:
         mass = sum((_poly_eval(p, hi) - _poly_eval(p, lo)
                     for p, lo, hi in zip(ev.pieces, b, b[1:])), F(0))
         assert mass == body.volume
+
+
+class TestFloatPieces:
+    """V read from the exactly shifted float pieces agrees with the frustum
+    recursion in floats (``float_cut_volume``) at random interior points."""
+
+    @staticmethod
+    def worst_error(body, dirs, count, seed) -> float:
+        """The largest |pieces - recursion| over the points and directions, over vol K."""
+        fb = _FloatBody(body)
+        pieces = FloatPieces([CumulativeEvaluator(body, d) for d in dirs], fb.unit)
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(count):
+            x = rng.dirichlet(np.ones(len(fb.verts))) @ fb.verts
+            for th, v in zip(pieces.theta, pieces.values(x)):
+                ref = float_cut_volume(fb.cells, (fb.verts @ th - th @ x).tolist())
+                worst = max(worst, abs(v - ref))
+        return worst / fb.total
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_random_points_match_recursion(self, n):
+        body = random_hull(n, n + 6, 40 + n)
+        dirs = exact_candidate_directions(body, body.centroid)
+        dirs += distinct_directions(seeded_directions(n, 1), 16, signed=False)
+        assert self.worst_error(body, dirs, 200, n) < 1e-12
+
+    @pytest.mark.parametrize("exponent", (1000, -1000))
+    def test_far_scale_and_huge_direction(self, exponent):
+        """The body's power-of-two unit and each direction's power of two are
+        exact, so neither a body at 2^±1000 nor entries above 2^256 overflow."""
+        body = random_hull(3, 9, 4)
+        body = convex_hull([tuple(c * F(2) ** exponent for c in v) for v in body.vertices])
+        huge = (2 ** 300 + 12345, -3 * 2 ** 290 + 7, 2 ** 257 + 1)
+        dirs = [huge, (1, 2, -3), *exact_candidate_directions(body, body.centroid)[:6]]
+        assert self.worst_error(body, dirs, 200, 9) < 1e-12
+
+    def test_outside_the_support(self):
+        """Below the lowest breakpoint V is 0, from the top one on it is vol K."""
+        body = convex_hull([(0, 0), (2, 0), (0, 1)])
+        pieces = FloatPieces([CumulativeEvaluator(body, (1, 0))], F(1))
+        assert [pieces.values(np.array([x, 0.5]))[0] for x in (-1.0, 2.0, 5.0)] == [0.0, 1.0, 1.0]
 
 
 class TestSupportInterval:
