@@ -25,6 +25,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 COMMANDS = {
     "rho_cube_n3.json": ["rho", "--body", "cube", "--n", "3"],
     "rho_min_simplex_n2.json": ["rho-min", "--body", "simplex", "--n", "2"],
+    # a point off the centroid wins, so the closing reports score a new point
+    "rho_min_random_n3.json": ["rho-min", "--body", "random", "--n", "3", "--seed", "0"],
     "phi_square.json": ["phi", "--body", "square"],
     "phi_simplex_n3.json": ["phi", "--body", "simplex", "--n", "3"],
     "phi_random_n3.json": ["phi", "--body", "random", "--n", "3", "--seed", "0"],
