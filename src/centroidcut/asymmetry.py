@@ -16,8 +16,9 @@ sharp bound by rounding.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from .geometry import (
     Vec,
     as_point,
     distinct_directions,
-    dot,
+    format_fraction,
     seeded_directions,
     vsub,
 )
@@ -75,10 +76,8 @@ class AsymmetryReport:
     exact_witnesses: tuple
     equality_exact: bool = False
     pyramid_like: bool = False
-    evaluations: int = 0
 
     def to_dict(self) -> dict:
-        from .geometry import format_fraction
         return {
             "point": [format_fraction(c) for c in self.point],
             "rho": float(self.rho),
@@ -111,10 +110,7 @@ def ratio_at(poly: Polytope, x, theta) -> Fraction:
     xp = as_point(x)
     if poly.contains(xp) is not Location.INTERIOR:
         raise RefNotInterior("cut point must be strictly inside the body")
-    ev = CumulativeEvaluator(poly, theta)
-    below = ev.value(dot(ev.theta, xp))
-    above = poly.volume - below
-    return max(below / above, above / below)
+    return CumulativeEvaluator(poly, theta).split_ratio(xp)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +118,13 @@ def ratio_at(poly: Polytope, x, theta) -> Fraction:
 
 
 class _FloatBody:
-    """The body in floats, divided by a power of two ``unit`` that brings it to
-    about unit size when its largest coordinate is above 2^64 or below 2^-64;
-    the scale is exact, so it changes no ratio that does not overflow."""
+    """One search call's state: the body in floats, divided by an exact power of
+    two ``unit`` to about unit size when its largest coordinate is above 2^64
+    or below 2^-64, and each signed direction's exact ``evaluator``, built once."""
 
     def __init__(self, poly: Polytope):
+        self.poly = poly
+        self.evaluator = functools.cache(functools.partial(CumulativeEvaluator, poly))
         bits = max(c.numerator.bit_length() - c.denominator.bit_length()
                    for v in poly.vertices for c in v if c)
         self.unit = Fraction(2) ** (bits if abs(bits) > 64 else 0)
@@ -251,15 +249,11 @@ def _rationalize_direction(theta: np.ndarray) -> list[Fraction]:
 # the searches
 
 
-def rho_at_point(poly: Polytope, x, cfg: SearchConfig | None = None) -> AsymmetryReport:
-    """Maximize the cut ratio over directions for a fixed interior point."""
-    cfg = cfg or SearchConfig()
-    xp = as_point(x)
-    if poly.contains(xp) is not Location.INTERIOR:
-        raise RefNotInterior("cut point must be strictly inside the body")
+def _search(fb: _FloatBody, xp: Vec, cfg: SearchConfig) -> AsymmetryReport:
+    """Maximize the cut ratio over directions at the interior point xp."""
+    poly = fb.poly
     n = poly.dim
     bound = rho_bound(n)
-    fb = _FloatBody(poly)
     xf = fb.point(xp)
 
     candidates = exact_candidate_directions(poly, xp)
@@ -268,7 +262,7 @@ def rho_at_point(poly: Polytope, x, cfg: SearchConfig | None = None) -> Asymmetr
     screened = sorted(((fb.ratio(xf, _float_direction(d)), d) for d in sample),
                       key=lambda p: (-p[0], p[1]))
     candidates = distinct_directions(candidates + [d for _, d in screened[:1]], signed=False)
-    witnesses = [(d, ratio_at(poly, xp, d)) for d in candidates]
+    witnesses = [(d, fb.evaluator(d).split_ratio(xp)) for d in candidates]
 
     if n >= 2:
         starts = [_float_direction(d) for _, d in screened[: cfg.multistart]]
@@ -277,7 +271,7 @@ def rho_at_point(poly: Polytope, x, cfg: SearchConfig | None = None) -> Asymmetr
         refined = [_rationalize_direction(_refine_direction(fb, xf, th0, cfg)) for th0 in starts]
         # evaluate the refined directions that are new up to sign
         for d in distinct_directions(candidates + refined, signed=False)[len(candidates):]:
-            witnesses.append((d, ratio_at(poly, xp, d)))
+            witnesses.append((d, fb.evaluator(d).split_ratio(xp)))
 
     witnesses.sort(key=lambda w: (-w[1], w[0]))
     best_theta, best_ratio = witnesses[0]
@@ -290,17 +284,28 @@ def rho_at_point(poly: Polytope, x, cfg: SearchConfig | None = None) -> Asymmetr
         gap=float(bound - best_ratio),
         phi=1.0 / (float(best_ratio) + 1.0),
         exact_witnesses=tuple(witnesses[:8]),
-        evaluations=len(witnesses),
     )
+
+
+def _centroid_search(fb: _FloatBody, cfg: SearchConfig) -> AsymmetryReport:
+    """The search at the centroid, which is interior, with the pyramid-equality flags."""
+    report = _search(fb, fb.poly.centroid, cfg)
+    report.equality_exact = report.rho_exact == report.rho_n
+    report.pyramid_like = report.equality_exact or report.gap < EQUALITY_TOL
+    return report
+
+
+def rho_at_point(poly: Polytope, x, cfg: SearchConfig | None = None) -> AsymmetryReport:
+    """Maximize the cut ratio over directions for a fixed interior point."""
+    xp = as_point(x)
+    if poly.contains(xp) is not Location.INTERIOR:
+        raise RefNotInterior("cut point must be strictly inside the body")
+    return _search(_FloatBody(poly), xp, cfg or SearchConfig())
 
 
 def rho_centroid(poly: Polytope, cfg: SearchConfig | None = None) -> AsymmetryReport:
     """Ratio search at the exact centroid, with the pyramid-equality flags."""
-    cfg = cfg or SearchConfig()
-    report = rho_at_point(poly, poly.centroid, cfg)
-    report.equality_exact = report.rho_exact == report.rho_n
-    report.pyramid_like = report.equality_exact or report.gap < EQUALITY_TOL
-    return report
+    return _centroid_search(_FloatBody(poly), cfg or SearchConfig())
 
 
 @dataclass
@@ -310,7 +315,6 @@ class RhoMinResult:
     report: AsymmetryReport
 
     def to_dict(self) -> dict:
-        from .geometry import format_fraction
         return {
             "point": [format_fraction(c) for c in self.point],
             "value": float(self.value),
@@ -333,7 +337,7 @@ def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
     dirs = exact_candidate_directions(poly, poly.centroid)
     dirs += distinct_directions(seeded_directions(n, cfg.seed + 1),
                                 min(cfg.random_directions, 48), signed=False)
-    pieces = FloatPieces([CumulativeEvaluator(poly, d) for d in dirs], fb.unit)
+    pieces = FloatPieces([fb.evaluator(d) for d in dirs], fb.unit)
     facet_n = np.array([[float(c) for c in f.normal] for f in poly.facets])
     facet_c = fb.point([f.offset for f in poly.facets])
 
@@ -361,12 +365,10 @@ def rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> RhoMinResult:
         lam += Fraction(1, 16)
         xr = tuple(c + lam * (g - c) for c, g in zip(xr, poly.centroid))
 
-    inner_cfg = SearchConfig(seed=cfg.seed, random_directions=min(cfg.random_directions, 64),
-                             multistart=1, nm_maxiter=cfg.nm_maxiter // 2,
-                             tol=cfg.tol)
-    report = rho_at_point(poly, xr, inner_cfg)
-    centroid_report = rho_centroid(poly, inner_cfg)
+    inner_cfg = replace(cfg, random_directions=min(cfg.random_directions, 64), multistart=1,
+                        nm_maxiter=cfg.nm_maxiter // 2)
+    report = _search(fb, xr, inner_cfg)  # both reports reuse the point search's evaluators
+    centroid_report = _centroid_search(fb, inner_cfg)
     if centroid_report.rho <= report.rho:
-        report = centroid_report
-        xr = poly.centroid
+        report, xr = centroid_report, poly.centroid
     return RhoMinResult(point=xr, value=report.rho, report=report)

@@ -17,8 +17,7 @@ from pathlib import Path
 from . import __version__
 from .asymmetry import SearchConfig, rho_centroid, rho_min
 from .errors import BadSpec, BadValue, CentroidCutError, DegenerateInput
-from .floating import (DIRECTION_MODES, floating_body_approx, is_nonempty, phi_estimate,
-                       phi_from_rho_min)
+from .floating import DIRECTION_MODES, floating_body_approx, is_nonempty, phi_estimate
 from .generators import BodySpec, make
 from .geometry import Polytope, as_fraction, format_fraction
 from .profiles import MomentSpec, brute_force_extremals, is_feasible, max_mu, min_mu
@@ -135,9 +134,8 @@ def cmd_rho_min(args) -> int:
 def cmd_phi(args) -> int:
     body = resolve_body(args)
     cfg = _search_config(args)
-    estimate = phi_estimate(body, cfg)
-    payload = estimate.to_dict()
-    payload["phi_from_rho_min"] = phi_from_rho_min(body, cfg)
+    payload = phi_estimate(body, cfg).to_dict()
+    payload["phi_from_rho_min"] = rho_min(body, cfg).report.phi
     _emit(args, render_json(payload))
     return 0
 

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .asymmetry import SearchConfig, delta_bound, rho_centroid, rho_min
+from .asymmetry import SearchConfig, delta_bound, rho_centroid
 from .errors import BadDelta, BadValue
 from .feasibility import feasible_point
 from .geometry import (
@@ -225,8 +225,3 @@ def phi_estimate(poly: Polytope, cfg: SearchConfig | None = None,
             infeasible = mid
     return PhiEstimate(lo=report.phi, hi=float(infeasible),
                        delta_feasible=feasible, delta_infeasible=infeasible)
-
-
-def phi_from_rho_min(poly: Polytope, cfg: SearchConfig | None = None) -> float:
-    """1/(rho+1) at the point of least cut ratio that :func:`rho_min` found."""
-    return rho_min(poly, cfg).report.phi

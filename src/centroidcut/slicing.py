@@ -111,6 +111,12 @@ class CumulativeEvaluator:
             return self.total
         return _poly_eval(self.pieces[bisect.bisect_right(self.breakpoints, t) - 1], t)
 
+    def split_ratio(self, x) -> Fraction:
+        """The larger over the smaller part of the cut through the interior point x."""
+        below = self.value(dot(self.theta, x))
+        above = self.total - below
+        return max(below / above, above / below)
+
     def value_float(self, t: float) -> float:
         """V by the frustum recursion in floating point; no exact path reads
         it (kept for callers that want a cheap approximate V)."""
@@ -493,8 +499,8 @@ def profile(poly: Polytope, theta, grid_size: int) -> SectionProfile:
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     ev = CumulativeEvaluator(poly, theta)
-    a, b = support_interval(poly, ev.theta, poly.centroid)
-    s0 = dot(ev.theta, poly.centroid)
+    s0 = dot(ev.theta, poly.centroid)  # the centroid is interior, so a, b > 0
+    a, b = s0 - ev.lo, ev.hi - s0
     step = (a + b) / (grid_size - 1)
     ts = [-a + i * step for i in range(grid_size)]
     return SectionProfile(evaluator=ev, a=a, b=b,

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .asymmetry import SearchConfig, delta_bound, ratio_at, rho_bound, rho_centroid
+from .asymmetry import SearchConfig, delta_bound, rho_bound, rho_centroid
 from .errors import BadValue
 from .floating import _approximations
 from .generators import BodySpec, fleet_specs, make
@@ -107,17 +107,15 @@ def check_pyramids(dims: tuple[int, ...]) -> list[InvariantResult]:
     for n in dims:
         axis = (0,) * (n - 1) + (1,)
         for k, base in enumerate(("cube", "simplex", "cross", "random-hull")):
-            spec = BodySpec(kind="pyramid", n=n, base=base,
-                            seed=23 + 31 * k + n, m=n + 3,
-                            height=str(Fraction(k + 1, 2)),
-                            apex=None if k % 2 == 0 else tuple(
-                                str(Fraction(k, 3)) for _ in range(n - 1)))
-            body = make(spec)
-            r = ratio_at(body, body.centroid, axis)
-            equality.record(r == rho_bound(n), f"pyramid n={n} #{k}: {r}")
+            body = make(BodySpec(kind="pyramid", n=n, base=base,
+                                 seed=23 + 31 * k + n, m=n + 3,
+                                 height=str(Fraction(k + 1, 2)),
+                                 apex=None if k % 2 == 0 else tuple(
+                                     str(Fraction(k, 3)) for _ in range(n - 1))))
             ev = CumulativeEvaluator(body, axis)
-            below = ev.value(dot(ev.theta, body.centroid))
-            frac_apex = 1 - below / body.volume
+            r = ev.split_ratio(body.centroid)
+            equality.record(r == rho_bound(n), f"pyramid n={n} #{k}: {r}")
+            frac_apex = 1 - ev.value(dot(ev.theta, body.centroid)) / body.volume
             apex.record(frac_apex == delta_bound(n), f"pyramid n={n} #{k}: {frac_apex}")
     return [equality, apex]
 

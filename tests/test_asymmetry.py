@@ -28,7 +28,8 @@ from centroidcut import asymmetry
 from centroidcut.asymmetry import _FloatBody, _nelder_mead, exact_candidate_directions
 from centroidcut.generators import BodySpec, make, random_hull
 from centroidcut.geometry import dot
-from centroidcut.verify import fleet_bodies
+from centroidcut.slicing import CumulativeEvaluator
+from centroidcut.verify import check_pyramids, fleet_bodies
 
 F = Fraction
 
@@ -90,7 +91,7 @@ class TestRhoAtPoint:
         # R^1 has one direction up to sign: the screened best is not a new witness
         segment = convex_hull([(0,), (1,)])
         report = rho_at_point(segment, segment.centroid, LIGHT)
-        assert [r for _, r in report.exact_witnesses] == [1] and report.evaluations == 1
+        assert [r for _, r in report.exact_witnesses] == [1]
 
     def test_report_meets_exact_candidates(self, square_pyramid):
         report = rho_at_point(square_pyramid, square_pyramid.centroid, LIGHT)
@@ -239,11 +240,11 @@ class TestRhoMin:
 
     def test_point_search_never_reads_float_ratio(self, monkeypatch):
         """The search over x scores points from the exact pieces; only the
-        exact reports at its end (rho_at_point) run the float recursion."""
+        exact reports at its end (the direction search) run the float recursion."""
         body = random_hull(3, 9, 99)
         expected = rho_min(body, LIGHT).to_dict()
         in_report = [False]
-        real_ratio, real_at_point = _FloatBody.ratio, asymmetry.rho_at_point
+        real_ratio, real_at_point = _FloatBody.ratio, asymmetry._search
 
         def ratio(self, x, theta):
             if not in_report[0]:
@@ -258,8 +259,53 @@ class TestRhoMin:
                 in_report[0] = False
 
         monkeypatch.setattr(_FloatBody, "ratio", ratio)
-        monkeypatch.setattr(asymmetry, "rho_at_point", at_point)
+        monkeypatch.setattr(asymmetry, "_search", at_point)
         assert rho_min(body, LIGHT).to_dict() == expected
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Record the direction of every CumulativeEvaluator built and the count of
+    _FloatBody built, as {"evaluators": [...], "float_bodies": [...]}."""
+    seen = {"evaluators": [], "float_bodies": []}
+    ev_init, fb_init = CumulativeEvaluator.__init__, _FloatBody.__init__
+
+    def ev(self, poly, theta):
+        seen["evaluators"].append(tuple(theta))
+        ev_init(self, poly, theta)
+
+    def fb(self, poly):
+        seen["float_bodies"].append(poly)
+        fb_init(self, poly)
+
+    monkeypatch.setattr(CumulativeEvaluator, "__init__", ev)
+    monkeypatch.setattr(_FloatBody, "__init__", fb)
+    return seen
+
+
+class TestBuilds:
+    """A search call holds one evaluator per direction it scores exactly."""
+
+    @pytest.mark.parametrize("n, seed", ((3, 0), (4, 3)))
+    def test_rho_min_builds_each_direction_once(self, builds, n, seed):
+        """The point search and both closing reports share one float body and
+        one evaluator per distinct signed direction (the body of `centroidcut
+        rho-min --body random --n 3 --seed 0`, and of n 4 seed 3)."""
+        body = make(BodySpec(kind="random-hull", n=n, m=10, seed=seed))
+        rho_min(body, SearchConfig(seed=seed))
+        dirs = builds["evaluators"]
+        assert len(dirs) == len(set(dirs)) > 0
+        assert len(builds["float_bodies"]) == 1
+
+    def test_rho_centroid_builds_each_direction_once(self, builds):
+        rho_centroid(random_hull(3, 9, 5), LIGHT)
+        dirs = builds["evaluators"]
+        assert len(dirs) == len(set(dirs)) > 0 and len(builds["float_bodies"]) == 1
+
+    def test_pyramids_suite_builds_one_evaluator_per_pyramid(self, builds):
+        results = check_pyramids((2, 3, 4))
+        assert all(r.ok for r in results)
+        assert len(builds["evaluators"]) == 12  # four bases in each of three dimensions
 
 
 class TestNelderMead:
