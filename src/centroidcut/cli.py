@@ -169,8 +169,8 @@ def cmd_lemma5(args) -> int:
     try:
         spec = MomentSpec(M=float(as_fraction(args.M)), m=float(as_fraction(args.m)),
                           n=args.n)
-    except ValueError as exc:
-        raise BadSpec(str(exc)) from exc
+    except OverflowError:
+        raise BadValue(f"--M and --m must lie in float range, got {args.M} and {args.m}") from None
     payload: dict = {"M": args.M, "m": args.m, "n": args.n,
                      "feasible": is_feasible(spec)}
     if payload["feasible"]:

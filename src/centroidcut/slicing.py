@@ -28,6 +28,7 @@ from .errors import RefNotInterior
 from .geometry import (
     Location,
     Polytope,
+    Vec,
     as_fraction,
     as_point,
     dot,
@@ -73,6 +74,16 @@ def float_cut_volume(cells, vals) -> float:
 # cumulative volume along a direction
 
 
+def _direction(poly: Polytope, theta) -> Vec:
+    """theta as a point, checked to be nonzero with one entry per coordinate."""
+    th = as_point(theta)
+    if len(th) != poly.dim:
+        raise ValueError(f"direction must have {poly.dim} entries, got {len(th)}")
+    if not any(th):
+        raise ValueError("direction must be nonzero")
+    return th
+
+
 class CumulativeEvaluator:
     """The exact kernel of one (body, direction): t -> vol(K ∩ {x·theta <= t}).
 
@@ -88,9 +99,7 @@ class CumulativeEvaluator:
 
     def __init__(self, poly: Polytope, theta):
         self.poly = poly
-        self.theta = as_point(theta)
-        if all(c == 0 for c in self.theta):
-            raise ValueError("direction must be nonzero")
+        self.theta = _direction(poly, theta)
         self.total = poly.volume
         projections = [dot(self.theta, v) for v in poly.vertices]
         self.breakpoints = sorted(set(projections))
@@ -442,9 +451,7 @@ def support_interval(poly: Polytope, theta, ref) -> tuple[Fraction, Fraction]:
     The section function along theta, centered at ref, is supported on
     [-a, b]; both are positive for interior ref and nonzero theta.
     """
-    th = as_point(theta)
-    if not any(th):
-        raise ValueError("direction must be nonzero")
+    th = _direction(poly, theta)
     refp = as_point(ref)
     if poly.contains(refp) is not Location.INTERIOR:
         raise RefNotInterior("reference point must be strictly inside the body")

@@ -78,6 +78,11 @@ class TestRatioAt:
         with pytest.raises(RefNotInterior):
             ratio_at(cube3, (0, 0, 0), (1, 0, 0))
 
+    def test_rejects_direction_of_wrong_length(self, simplex3):
+        """(1, 0) is not read as (1, 0, 0), whose ratio is 37/27."""
+        with pytest.raises(ValueError, match="direction must have 3 entries"):
+            ratio_at(simplex3, simplex3.centroid, (1, 0))
+
 
 class TestRhoAtPoint:
     def test_standard_simplex_exact_equality(self, simplex3):

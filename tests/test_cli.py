@@ -251,6 +251,9 @@ class TestInputErrors:
         ("gen", "--input", {"kind": "cube", "n": True}),
         ("gen", "--input", {"kind": "random-hull", "n": 2, "m": 5.0}),
         ("rho", "--input", {"kind": "random-hull", "n": 2, "seed": False}),
+        # a moment target or slope cap beyond float range
+        ("lemma5", "--M", "1e400", "--m", "0", "--n", "2"),
+        ("lemma5", "--M", "1", "--m", "1e400", "--n", "2"),
     ])
     def test_exit_1(self, capsys, tmp_path, argv):
         spec = tmp_path / "spec.json"

@@ -121,6 +121,11 @@ class TestRootIsolation:
         assert ev.value(cut.lo) < F(1, 4) < ev.value(cut.hi)
         assert 2 * (1 - cut.hi) ** 2 < 1 < 2 * (1 - cut.lo) ** 2
 
+    def test_no_depth_along_a_direction_of_wrong_length(self, simplex3):
+        """(2, 0) on a 3-body is refused, not cut as a 2-vector theta."""
+        with pytest.raises(ValueError, match="direction must have 3 entries"):
+            depth(simplex3, (2, 0), F(1, 4))
+
     @pytest.mark.parametrize("theta", [(1, 0, 0), (2, -3, 1), (-1, 1, 2)])
     def test_depth_on_a_vertex_projection(self, theta):
         body = random_hull(3, 9, 15)

@@ -113,6 +113,11 @@ class TestCumulativeVolume:
         vals = [ev.value(ev.lo + F(k, 16) * (ev.hi - ev.lo)) for k in range(17)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("theta", [(1,), (1, 0), (0, 0, 1, 5)])
+    def test_rejects_direction_of_wrong_length(self, simplex3, theta):
+        with pytest.raises(ValueError, match="direction must have 3 entries"):
+            CumulativeEvaluator(simplex3, theta)
+
     def test_scaling_law_exact(self, square_pyramid):
         theta = (F(1), F(-2), F(3))
         lam = F(5, 3)
@@ -287,6 +292,12 @@ class TestSupportInterval:
         """A zero direction has no support interval; (0, 0) would divide by zero."""
         with pytest.raises(ValueError, match="direction must be nonzero"):
             support_interval(cube3, (0, 0, 0), cube3.centroid)
+
+    @pytest.mark.parametrize("theta", [(1,), (1, 0), (0, 0, 1, 5)])
+    def test_rejects_direction_of_wrong_length(self, simplex3, theta):
+        """A short direction is not padded with zeros, nor a long one cut."""
+        with pytest.raises(ValueError, match="direction must have 3 entries"):
+            support_interval(simplex3, theta, simplex3.centroid)
 
 
 class TestMomentCondition:
