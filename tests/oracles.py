@@ -11,7 +11,10 @@ tests compare the routes as rationals.  The library finds hull facets by
 double description; the brute-force scan over all n-subsets here finds the
 same list, order included.  The library's dot products and point tests
 run on integers over one common denominator; `fraction_dot` and
-`fraction_contains` are the same in `Fraction` arithmetic.
+`fraction_contains` are the same in `Fraction` arithmetic.  The profile
+engine integrates a batch of segments block by block, in place;
+`segment_quad_one_pass` is the same Gauss-Legendre pass over the whole batch
+at once, whose every float must match.
 """
 from __future__ import annotations
 
@@ -19,6 +22,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from centroidcut.errors import DegenerateInput
 from centroidcut.geometry import (
@@ -33,6 +38,7 @@ from centroidcut.geometry import (
     as_point,
     vsub,
 )
+from centroidcut.profiles import _gauss_rule
 
 
 def fraction_dot(u, v):
@@ -52,6 +58,24 @@ def fraction_contains(poly: Polytope, x) -> Location:
         if v == 0:
             on_boundary = True
     return Location.BOUNDARY if on_boundary else Location.INTERIOR
+
+
+def segment_quad_one_pass(t0, t1, h0, h1, n):
+    """Gauss-Legendre (masses, moments) of h^(n-1) and t h^(n-1) over linear
+    segments, each node applied to the whole broadcast batch at once."""
+    t0, t1, h0, h1 = (np.asarray(a, dtype=float) for a in (t0, t1, h0, h1))
+    half = (t1 - t0) / 2.0
+    mid = (t1 + t0) / 2.0
+    mass = mom = np.zeros(np.broadcast(t0, t1, h0, h1).shape)
+    nodes, weights = _gauss_rule(n)
+    for x, w in zip(nodes, weights):
+        t = mid + half * x
+        lam = (x + 1.0) / 2.0
+        h = h0 + (h1 - h0) * lam
+        f = h ** (n - 1)
+        mass = mass + w * f
+        mom = mom + w * (t * f)
+    return mass * half, mom * half
 
 
 def det(rows) -> Fraction:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from centroidcut import (
 )
 from centroidcut import profiles
 from centroidcut.profiles import feasibility_threshold, profile_cut_ratio
+from oracles import segment_quad_one_pass
 
 
 def sympy_mass_and_moment(grid, values, n):
@@ -263,3 +265,81 @@ class TestClaim4:
         for alpha, beta in [(2.0, 1.0), (0.3, 4.0), (7.5, 0.25)]:
             scaled = profile_cut_ratio(beta * grid, alpha * values, 3)
             assert scaled == pytest.approx(base, rel=1e-12)
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+class TestSegmentQuadBits:
+    """The library's pass gives every float of the one-pass reference, for
+    every batch shape its callers use and around the edges of its blocks."""
+
+    BUDGET = 8192  # elements per block of a 2-D batch
+
+    @staticmethod
+    def _rows(rng, rows, cols):
+        return rng.uniform(-0.5, 2.0, size=(rows, cols + 1))
+
+    def _check(self, t0, t1, h0, h1, n):
+        got = profiles._segment_quad(t0, t1, h0, h1, n)
+        want = segment_quad_one_pass(t0, t1, h0, h1, n)
+        assert [_bits(q) for q in got] == [_bits(q) for q in want]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("cols", [1, 64, 200])
+    def test_row_counts_around_the_block(self, n, cols):
+        rng = np.random.default_rng(100 * n + cols)
+        block = max(1, self.BUDGET // cols)
+        grid = np.linspace(0.0, 1.0, cols + 1)
+        for rows in sorted({1, max(block - 1, 1), block, block + 1, 3 * block + 7}):
+            h = self._rows(rng, rows, cols)
+            # grid as one row (_evaluate_shapes) and as a 1-D array (_recentred_split)
+            self._check(grid[:-1][None, :], grid[1:][None, :], h[:, :-1], h[:, 1:], n)
+            self._check(grid[:-1], grid[1:], h[:, :-1], h[:, 1:], n)
+            # every input a full batch
+            t = np.sort(rng.uniform(-1.0, 3.0, size=(rows, cols + 1)), axis=1)
+            self._check(t[:, :-1], t[:, 1:], h[:, :-1], h[:, 1:], n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_one_dimensional_and_scalar(self, n):
+        rng = np.random.default_rng(n)
+        t = np.sort(rng.uniform(0.0, 2.0, size=301))
+        h = rng.uniform(0.0, 2.0, size=301)
+        self._check(t[:-1], t[1:], h[:-1], h[1:], n)
+        self._check(0.0, 1.75, 1.0, 1.0 - 0.5 * 1.75, n)
+        self._check(t[:-1], 2.5, h[:-1], 0.25, n)
+
+
+# sha256 (first 16 hex digits) of the floats in hex of mu_lo, mu_hi, b_lo,
+# b_hi, kept, and the grid and values of both returned profiles, per (n, M)
+# and per slope cap m in (threshold, threshold/2, 0, 1)
+BRUTE_FORCE_PINS = {
+    (1, "1/6"): ("cbb19e88126153ad", "4c314f33f5ee9771", "e0db92f0e94204f4", "a5182fc44df832db"),
+    (1, "1"): ("8d8ee8bd0b16a857", "98bc360743a54413", "0bb4e886c325f68a", "2c9057f91add0ab9"),
+    (2, "1/6"): ("5d33010b32efe884", "345af82660e240d8", "47b8f62ec529e35f", "313596928aa3fc70"),
+    (2, "1"): ("10b7a5a74a371750", "754850e93ba75928", "b78b1cb442099cec", "91c1baa9c4d433f3"),
+    (3, "1/6"): ("b0d2543f009ba434", "db1d0d135e216df2", "84e935ceb347d09e", "bf63c2e2a1429c3c"),
+    (3, "1"): ("d0292a06df5b9b5f", "bf6c45f9f1f810a8", "c064a796105c80b8", "aa4447d85265471e"),
+    (4, "1/6"): ("7fe36f4ba9464076", "07dc61908cf97bcf", "56105064c16323da", "00e859ba88751b90"),
+    (4, "1"): ("42536daa1993135a", "38e0feb9b5f691b2", "610773082a97ce12", "045b606c82d32c04"),
+    (5, "1/6"): ("1c880f2672ca04cb", "f6e7a3e4116024a4", "0c7c3529ab67fb03", "0a09fb0e2cc8e35f"),
+    (5, "1"): ("b183d5a16a604a93", "675eb013fb411565", "78af5f62f369ed7c", "56d7c439578772a2"),
+}
+
+
+@pytest.mark.parametrize("n, M", sorted(BRUTE_FORCE_PINS))
+def test_brute_force_extremals_pinned_bitwise(n, M):
+    """The Lemma-5 grid of the oracle, at 1000 trials on a 200-cell grid."""
+    M_float = {"1/6": 1 / 6, "1": 1.0}[M]
+    thr = feasibility_threshold(M_float, n)
+    digests = []
+    for m in (thr, thr / 2, 0.0, 1.0):
+        bf = brute_force_extremals(MomentSpec(M=M_float, m=m, n=n), grid_size=200,
+                                   trials=1000, seed=5)
+        parts = [bf.mu_lo.hex(), bf.mu_hi.hex(), bf.b_lo.hex(), bf.b_hi.hex(), str(bf.kept)]
+        for prof in (bf.lo_profile, bf.hi_profile):
+            parts += [float(x).hex() for x in prof.grid + prof.values]
+        digests.append(hashlib.sha256("|".join(parts).encode()).hexdigest()[:16])
+    assert tuple(digests) == BRUTE_FORCE_PINS[n, M]
