@@ -166,11 +166,16 @@ def cmd_floatbody(args) -> int:
 
 
 def cmd_lemma5(args) -> int:
+    exact = (as_fraction(args.M), as_fraction(args.m))
     try:
-        spec = MomentSpec(M=float(as_fraction(args.M)), m=float(as_fraction(args.m)),
-                          n=args.n)
+        M, m = (float(q) for q in exact)
+        # a nonzero value that underflows to 0.0 is as far out of range as an overflow
+        in_range = all((v == 0) == (q == 0) for v, q in zip((M, m), exact))
     except OverflowError:
-        raise BadValue(f"--M and --m must lie in float range, got {args.M} and {args.m}") from None
+        in_range = False
+    if not in_range:
+        raise BadValue(f"--M and --m must lie in float range, got {args.M} and {args.m}")
+    spec = MomentSpec(M=M, m=m, n=args.n)
     payload: dict = {"M": args.M, "m": args.m, "n": args.n,
                      "feasible": is_feasible(spec)}
     if payload["feasible"]:

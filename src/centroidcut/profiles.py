@@ -10,7 +10,8 @@ as an independent oracle for those closed forms.
 Segment integrals of h^(n-1) and t h^(n-1) are evaluated together, in one
 pass over fixed-order Gauss-Legendre nodes, which is exact for polynomial
 degree <= 7 and hence for every n <= 6; the sampler is fully vectorized over
-trial batches.
+trial batches, and a batch's pass runs over cache-sized blocks of rows,
+accumulating in place into its two outputs.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .errors import BadSpec, BadValue, Infeasible
 MAX_MU_REL_TOL = 1e-12  # relative bisection width of max_mu's support end
 AFFINE_SWEEP = 400  # shapes per one-segment family the brute-force oracle adds
 CLAIM4_TOL = 1e-9  # slack of claim4_certificate's bound and affine checks
+QUAD_BLOCK = 8192  # elements per row block of a 2-D quadrature batch (64 KB)
 
 
 @functools.cache
@@ -43,10 +45,12 @@ class MomentSpec:
     n: int
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise BadSpec(f"moment target must be positive, got {self.M}")
-        if self.n < 1:
-            raise BadSpec(f"exponent n must be a positive integer, got {self.n}")
+        if not (self.M > 0 and math.isfinite(self.M)):
+            raise BadSpec(f"moment target must be positive and finite, got {self.M}")
+        if not math.isfinite(self.m):
+            raise BadSpec(f"slope cap must be finite, got {self.m}")
+        if type(self.n) is not int or self.n < 1:
+            raise BadSpec(f"exponent n must be a positive integer, got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,9 @@ def _segment_quad(t0, t1, h0, h1, n):
     """Gauss-Legendre integrals (masses, moments) of h^(n-1) and t h^(n-1)
     over linear segments, from one pass over the nodes.
 
-    Inputs broadcast; exact for the polynomial integrands at hand.
+    Inputs broadcast; exact for the polynomial integrands at hand.  A 2-D
+    batch goes to `_batch_quad`, which gives every element the same float
+    operations in the same order.
     """
     t0 = np.asarray(t0, dtype=float)
     t1 = np.asarray(t1, dtype=float)
@@ -92,7 +98,10 @@ def _segment_quad(t0, t1, h0, h1, n):
     h1 = np.asarray(h1, dtype=float)
     half = (t1 - t0) / 2.0
     mid = (t1 + t0) / 2.0
-    mass = mom = np.zeros(np.broadcast(t0, t1, h0, h1).shape)
+    shape = np.broadcast(t0, t1, h0, h1).shape
+    if len(shape) == 2:
+        return _batch_quad(mid, half, h0, h1, n, shape)
+    mass = mom = np.zeros(shape)
     nodes, weights = _gauss_rule(n)
     for x, w in zip(nodes, weights):
         t = mid + half * x
@@ -102,6 +111,38 @@ def _segment_quad(t0, t1, h0, h1, n):
         mass = mass + w * f
         mom = mom + w * (t * f)
     return mass * half, mom * half
+
+
+def _batch_quad(mid, half, h0, h1, n, shape):
+    """`_segment_quad` on a 2-D batch, QUAD_BLOCK elements of rows at a time,
+    accumulated in place into the two outputs."""
+
+    def rows(a, block):  # a's rows in the block, or a itself if it broadcasts
+        return a[block] if a.ndim == 2 and a.shape[0] > 1 else a
+
+    nodes, weights = _gauss_rule(n)
+    ts = [mid + half * x for x in nodes]
+    lams = [(x + 1.0) / 2.0 for x in nodes]
+    mass, mom = np.zeros(shape), np.zeros(shape)
+    step = max(1, QUAD_BLOCK // max(shape[1], 1))
+    bufs = [np.empty((min(step, shape[0]), shape[1])) for _ in range(3)]
+    for start in range(0, shape[0], step):
+        block = slice(start, start + step)
+        ms, mo = mass[block], mom[block]
+        dh, f, g = (buf[:ms.shape[0]] for buf in bufs)
+        a = rows(h0, block)
+        np.subtract(rows(h1, block), a, out=dh)
+        for t, lam, w in zip(ts, lams, weights):
+            np.multiply(dh, lam, out=f)
+            f += a
+            f **= n - 1
+            ms += np.multiply(f, w, out=g)
+            np.multiply(f, rows(t, block), out=g)
+            g *= w
+            mo += g
+        ms *= rows(half, block)
+        mo *= rows(half, block)
+    return mass, mom
 
 
 def _profile_quad(profile: ConcaveProfile):
@@ -261,18 +302,19 @@ def _affine_sweeps(spec: MomentSpec) -> np.ndarray:
 
 
 def _evaluate_shapes(h: np.ndarray, grid: np.ndarray, spec: MomentSpec):
-    """Scale shapes to the moment target; apply the slope cap; return mu and b."""
+    """Scale shapes to the moment target; apply the slope cap; return the kept
+    rows' indices into `h`, their mu and their b."""
     t0, t1 = grid[:-1][None, :], grid[1:][None, :]
     mass_hat, mom_hat = (np.sum(q, axis=1)
                          for q in _segment_quad(t0, t1, h[:, :-1], h[:, 1:], spec.n))
-    good = mom_hat > 1e-30
-    h, mass_hat, mom_hat = h[good], mass_hat[good], mom_hat[good]
+    kept = np.flatnonzero(mom_hat > 1e-30)
+    mass_hat, mom_hat = mass_hat[kept], mom_hat[kept]
     b = np.sqrt(spec.M / mom_hat)
-    slope0 = (h[:, 1] - h[:, 0]) / (grid[1] - grid[0])
+    slope0 = (h[kept, 1] - h[kept, 0]) / (grid[1] - grid[0])
     # near the feasibility boundary the mass is very sensitive to the cap, so
     # the admission slack must stay well below the closed-form tolerances
     cap_ok = slope0 / b <= spec.m + 1e-12 * max(1.0, abs(spec.m))
-    return h[cap_ok], b[cap_ok] * mass_hat[cap_ok], b[cap_ok]
+    return kept[cap_ok], b[cap_ok] * mass_hat[cap_ok], b[cap_ok]
 
 
 def brute_force_extremals(spec: MomentSpec, grid_size: int, trials: int,
@@ -291,8 +333,8 @@ def brute_force_extremals(spec: MomentSpec, grid_size: int, trials: int,
     swept = _affine_sweeps(spec)
     swept_grid = np.array([0.0, 1.0])
 
-    h1, mus1, bs1 = _evaluate_shapes(rand, grid, spec)
-    h2, mus2, bs2 = _evaluate_shapes(swept, swept_grid, spec)
+    kept1, mus1, bs1 = _evaluate_shapes(rand, grid, spec)
+    kept2, mus2, bs2 = _evaluate_shapes(swept, swept_grid, spec)
     mus = np.concatenate([mus1, mus2])
     bs = np.concatenate([bs1, bs2])
     if mus.size == 0:
@@ -302,9 +344,9 @@ def brute_force_extremals(spec: MomentSpec, grid_size: int, trials: int,
 
     def profile_at(i: int) -> ConcaveProfile:
         if i < mus1.size:
-            shape, g = h1[i], grid
+            shape, g = rand[kept1[i]], grid
         else:
-            shape, g = h2[i - mus1.size], swept_grid
+            shape, g = swept[kept2[i - mus1.size]], swept_grid
         b = bs[i]
         return ConcaveProfile(grid=tuple(g * b), values=tuple(np.maximum(shape, 0.0)),
                               n=spec.n)

@@ -251,9 +251,11 @@ class TestInputErrors:
         ("gen", "--input", {"kind": "cube", "n": True}),
         ("gen", "--input", {"kind": "random-hull", "n": 2, "m": 5.0}),
         ("rho", "--input", {"kind": "random-hull", "n": 2, "seed": False}),
-        # a moment target or slope cap beyond float range
+        # a moment target or slope cap beyond float range, or nonzero below it
         ("lemma5", "--M", "1e400", "--m", "0", "--n", "2"),
         ("lemma5", "--M", "1", "--m", "1e400", "--n", "2"),
+        ("lemma5", "--M", "1", "--m", "1e-400", "--n", "2"),
+        ("lemma5", "--M", "1e-400", "--m", "0", "--n", "2"),
     ])
     def test_exit_1(self, capsys, tmp_path, argv):
         spec = tmp_path / "spec.json"
@@ -265,6 +267,12 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("M, m", [("1e400", "0"), ("1", "-1e400"),
+                                      ("1", "1e-400"), ("1", "-1e-400"), ("1e-400", "0")])
+    def test_lemma5_float_range_message(self, capsys, M, m):
+        assert main(["lemma5", f"--M={M}", f"--m={m}", "--n", "2"]) == 1
+        assert "--M and --m must lie in float range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--suite", "bound", "--support-dirs", "0"),

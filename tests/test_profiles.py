@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,14 @@ class TestFeasibility:
             MomentSpec(M=0.0, m=0.0, n=2)
         with pytest.raises(BadSpec):
             MomentSpec(M=-1.0, m=0.0, n=2)
+
+    @pytest.mark.parametrize("M, m, n", [
+        (math.inf, 0.0, 2), (math.nan, 0.0, 2), (1.0, math.inf, 2), (1.0, -math.inf, 2),
+        (1.0, math.nan, 2), (1.0, 0.0, 2.5), (1.0, 0.0, 2.0), (1.0, 0.0, True),
+        (1.0, 0.0, np.int64(2)), (1.0, 0.0, 0)])
+    def test_non_finite_or_non_integer_spec(self, M, m, n):
+        with pytest.raises(BadSpec):
+            MomentSpec(M=M, m=m, n=n)
 
     def test_infeasible_raises(self):
         with pytest.raises(Infeasible):
@@ -276,8 +285,6 @@ class TestSegmentQuadBits:
     """The library's pass gives every float of the one-pass reference, for
     every batch shape its callers use and around the edges of its blocks."""
 
-    BUDGET = 8192  # elements per block of a 2-D batch
-
     @staticmethod
     def _rows(rng, rows, cols):
         return rng.uniform(-0.5, 2.0, size=(rows, cols + 1))
@@ -291,7 +298,7 @@ class TestSegmentQuadBits:
     @pytest.mark.parametrize("cols", [1, 64, 200])
     def test_row_counts_around_the_block(self, n, cols):
         rng = np.random.default_rng(100 * n + cols)
-        block = max(1, self.BUDGET // cols)
+        block = max(1, profiles.QUAD_BLOCK // cols)
         grid = np.linspace(0.0, 1.0, cols + 1)
         for rows in sorted({1, max(block - 1, 1), block, block + 1, 3 * block + 7}):
             h = self._rows(rng, rows, cols)
@@ -301,6 +308,20 @@ class TestSegmentQuadBits:
             # every input a full batch
             t = np.sort(rng.uniform(-1.0, 3.0, size=(rows, cols + 1)), axis=1)
             self._check(t[:, :-1], t[:, 1:], h[:, :-1], h[:, 1:], n)
+
+    def test_peak_memory_of_a_claim4_batch(self):
+        """Row blocks keep the pass's peak at the two outputs plus small
+        buffers; a pass over whole-batch temporaries peaks at about six."""
+        rows, cols = 15000, 64
+        grid = np.linspace(0.0, 1.0, cols + 1)
+        h = np.random.default_rng(7).uniform(0.0, 2.0, size=(rows, cols + 1))
+        tracemalloc.start()
+        try:
+            profiles._segment_quad(grid[:-1], grid[1:], h[:, :-1], h[:, 1:], 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * rows * cols * 8
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_one_dimensional_and_scalar(self, n):
