@@ -27,7 +27,7 @@ from .errors import BadSpec, BadValue, Infeasible
 MAX_MU_REL_TOL = 1e-12  # relative bisection width of max_mu's support end
 AFFINE_SWEEP = 400  # shapes per one-segment family the brute-force oracle adds
 CLAIM4_TOL = 1e-9  # slack of claim4_certificate's bound and affine checks
-QUAD_BLOCK = 8192  # elements per row block of a 2-D quadrature batch (64 KB)
+QUAD_BLOCK = 8192  # elements per row block of a 2-D quadrature batch (64 KB, cache-sized)
 
 
 @functools.cache
@@ -90,7 +90,8 @@ def _segment_quad(t0, t1, h0, h1, n):
 
     Inputs broadcast; exact for the polynomial integrands at hand.  A 2-D
     batch goes to `_batch_quad`, which gives every element the same float
-    operations in the same order.
+    operations in the same order; scalar and 1-D inputs (max_mu's bisection)
+    take the loop below, which pays no per-call block set-up.
     """
     t0 = np.asarray(t0, dtype=float)
     t1 = np.asarray(t1, dtype=float)
