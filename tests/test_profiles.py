@@ -285,10 +285,6 @@ class TestSegmentQuadBits:
     """The library's pass gives every float of the one-pass reference, for
     every batch shape its callers use and around the edges of its blocks."""
 
-    @staticmethod
-    def _rows(rng, rows, cols):
-        return rng.uniform(-0.5, 2.0, size=(rows, cols + 1))
-
     def _check(self, t0, t1, h0, h1, n):
         got = profiles._segment_quad(t0, t1, h0, h1, n)
         want = segment_quad_one_pass(t0, t1, h0, h1, n)
@@ -301,7 +297,7 @@ class TestSegmentQuadBits:
         block = max(1, profiles.QUAD_BLOCK // cols)
         grid = np.linspace(0.0, 1.0, cols + 1)
         for rows in sorted({1, max(block - 1, 1), block, block + 1, 3 * block + 7}):
-            h = self._rows(rng, rows, cols)
+            h = rng.uniform(-0.5, 2.0, size=(rows, cols + 1))
             # grid as one row (_evaluate_shapes) and as a 1-D array (_recentred_split)
             self._check(grid[:-1][None, :], grid[1:][None, :], h[:, :-1], h[:, 1:], n)
             self._check(grid[:-1], grid[1:], h[:, :-1], h[:, 1:], n)
