@@ -46,6 +46,9 @@ COMMANDS = {
     "lemma5_mneg_n3.json": ["lemma5", "--M", "1/6", "--m=-1/4", "--n", "3", "--trials", "200"],
     # max_mu's doubling, then bisection, above a positive slope cap
     "lemma5_mpos_n4.json": ["lemma5", "--M", "1", "--m", "1", "--n", "4", "--trials", "200"],
+    # the first round keeps fewer shapes than asked for, so the batch takes two
+    "lemma5_grid1_seed11.json": ["lemma5", "--M", "1", "--m", "0", "--n", "2", "--grid", "1",
+                                 "--trials", "1000", "--seed", "11"],
     "lemma5_n2.csv": ["lemma5", "--M", "1/6", "--m", "0", "--n", "2", "--trials", "200",
                       "--format", "csv"],
     "lemma5_n2.svg": ["lemma5", "--M", "1/6", "--m", "0", "--n", "2", "--trials", "200",
