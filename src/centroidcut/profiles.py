@@ -9,9 +9,9 @@ as an independent oracle for those closed forms.
 
 Segment integrals of h^(n-1) and t h^(n-1) are evaluated together, in one
 pass over fixed-order Gauss-Legendre nodes, which is exact for polynomial
-degree <= 7 and hence for every n <= 6; the sampler is fully vectorized over
-trial batches, and a batch's pass runs over cache-sized blocks of rows,
-accumulating in place into its two outputs.
+degree <= 7 and hence for every n <= 6.  The sampler builds each round of
+shapes as one array, filtered once, and a batch's pass runs over cache-sized
+blocks of rows, accumulating in place into its two outputs.
 """
 from __future__ import annotations
 
@@ -36,6 +36,11 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(max(4, n // 2 + 1))
 
 
+def _check_exponent(n) -> None:
+    if type(n) is not int or n < 1:
+        raise BadSpec(f"exponent n must be a positive integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class MomentSpec:
     """Target moment M > 0, initial-slope cap m, and section exponent n."""
@@ -49,8 +54,7 @@ class MomentSpec:
             raise BadSpec(f"moment target must be positive and finite, got {self.M}")
         if not math.isfinite(self.m):
             raise BadSpec(f"slope cap must be finite, got {self.m}")
-        if type(self.n) is not int or self.n < 1:
-            raise BadSpec(f"exponent n must be a positive integer, got {self.n!r}")
+        _check_exponent(self.n)
 
 
 @dataclass(frozen=True)
@@ -79,9 +83,6 @@ class ConcaveProfile:
     @property
     def b(self) -> float:
         return self.grid[-1]
-
-    def initial_slope(self) -> float:
-        return (self.values[1] - self.values[0]) / (self.grid[1] - self.grid[0])
 
 
 def _segment_quad(t0, t1, h0, h1, n):
@@ -243,33 +244,28 @@ class BruteForceResult:
 def _shape_round(grid_size: int, trials: int, rng) -> np.ndarray:
     ds = 1.0 / grid_size
     s = np.linspace(0.0, 1.0, grid_size + 1)
-    shapes = []
+    count = max(trials // 4, 64)
+    batch = np.empty((trials + 2 * count, grid_size + 1))
 
     # random concave: slopes sorted descending integrate to a concave h
-    raw = rng.uniform(-2.2, 1.2, size=(trials, grid_size))
-    slopes = -np.sort(-raw, axis=1)
-    h = 1.0 + np.concatenate(
-        [np.zeros((trials, 1)), np.cumsum(slopes * ds, axis=1)], axis=1)
-    shapes.append(h)
+    slopes = -np.sort(-rng.uniform(-2.2, 1.2, size=(trials, grid_size)), axis=1)
+    slopes *= ds
+    batch[:trials, 0] = 1.0
+    np.cumsum(slopes, axis=1, out=batch[:trials, 1:])
+    batch[:trials, 1:] += 1.0
 
     # two- and three-segment profiles with random breakpoints and slopes
-    for segs in (2, 3):
-        count = max(trials // 4, 64)
+    for start, segs in ((trials, 2), (trials + count, 3)):
         bp = np.sort(rng.uniform(0.15, 0.85, size=(count, segs - 1)), axis=1)
         knots = np.concatenate([np.zeros((count, 1)), bp, np.ones((count, 1))], axis=1)
         sl = -np.sort(-rng.uniform(-2.2, 1.2, size=(count, segs)), axis=1)
         vals = np.ones((count, segs + 1))
         for k in range(segs):
             vals[:, k + 1] = vals[:, k] + sl[:, k] * (knots[:, k + 1] - knots[:, k])
-        h = np.empty((count, grid_size + 1))
         for r in range(count):
-            h[r] = np.interp(s, knots[r], vals[r])
-        shapes.append(h)
+            batch[start + r] = np.interp(s, knots[r], vals[r])
 
-    batch = np.concatenate(shapes, axis=0)
-    interior_ok = np.all(batch[:, 1:-1] > 1e-9, axis=1)
-    nonneg = batch[:, -1] >= 0.0
-    return batch[interior_ok & nonneg]
+    return batch[np.all(batch[:, 1:-1] > 1e-9, axis=1) & (batch[:, -1] >= 0.0)]
 
 
 def _shape_batch(grid_size: int, trials: int, seed: int) -> np.ndarray:
@@ -282,13 +278,12 @@ def _shape_batch(grid_size: int, trials: int, seed: int) -> np.ndarray:
     if grid_size < 1 or trials < 1:
         raise BadValue(f"grid size and trials must be positive, got {grid_size} and {trials}")
     rng = np.random.default_rng(seed)
-    rounds = [_shape_round(grid_size, trials, rng)]
-    total = rounds[0].shape[0]
-    while total < trials and len(rounds) < 8:
-        extra = _shape_round(grid_size, trials, rng)
-        rounds.append(extra)
-        total += extra.shape[0]
-    return np.concatenate(rounds, axis=0)
+    batch = _shape_round(grid_size, trials, rng)
+    for _ in range(7):  # eight rounds at most
+        if batch.shape[0] >= trials:
+            break
+        batch = np.concatenate([batch, _shape_round(grid_size, trials, rng)])
+    return batch
 
 
 def _affine_sweeps(spec: MomentSpec) -> np.ndarray:
@@ -349,8 +344,8 @@ def brute_force_extremals(spec: MomentSpec, grid_size: int, trials: int,
         else:
             shape, g = swept[kept2[i - mus1.size]], swept_grid
         b = bs[i]
-        return ConcaveProfile(grid=tuple(g * b), values=tuple(np.maximum(shape, 0.0)),
-                              n=spec.n)
+        return ConcaveProfile(grid=tuple((g * b).tolist()),
+                              values=tuple(np.maximum(shape, 0.0).tolist()), n=spec.n)
 
     return BruteForceResult(
         mu_lo=float(mus[i_lo]), mu_hi=float(mus[i_hi]),
@@ -375,9 +370,10 @@ def _recentred_split(grid: np.ndarray, h: np.ndarray, n: int):
     lam = (tbar - grid[ks]) / (grid[ks + 1] - grid[ks])
     h_t = h[rows, ks] + (h[rows, ks + 1] - h[rows, ks]) * lam
     partial, _ = _segment_quad(tbar, grid[ks + 1], h_t, h[rows, ks + 1], n)
-    cum_from_right = np.concatenate(
-        [np.cumsum(masses[:, ::-1], axis=1)[:, ::-1], np.zeros((h.shape[0], 1))], axis=1)
-    return totals, cum_from_right[rows, ks + 1] + partial
+    # masses becomes, in place, each row's mass right of each segment's left end
+    np.cumsum(masses[:, ::-1], axis=1, out=masses[:, ::-1])
+    right = np.where(ks < grid.size - 2, masses[rows, np.minimum(ks + 1, grid.size - 2)], 0.0)
+    return totals, right + partial
 
 
 def profile_cut_ratio(grid, values, n: int) -> float:
@@ -387,6 +383,7 @@ def profile_cut_ratio(grid, values, n: int) -> float:
     cut ratio of the body a profile generates, independent of parametrization
     scale and amplitude.
     """
+    _check_exponent(n)
     (total,), (right,) = _recentred_split(np.asarray(grid, dtype=float),
                                           np.asarray(values, dtype=float)[None, :], n)
     return float(right / (total - right))
@@ -409,6 +406,7 @@ def claim4_certificate(n: int, grid_size: int, trials: int, seed: int) -> Claim4
     No sampled profile may beat (1+1/n)^n - 1, and the affine profile with
     h vanishing at the left endpoint must achieve it.
     """
+    _check_exponent(n)
     rho_n = float(rho_bound(n))
     batch = _shape_batch(grid_size, trials, seed)
     totals, right = _recentred_split(np.linspace(0.0, 1.0, grid_size + 1), batch, n)

@@ -41,6 +41,10 @@ def sympy_mass_and_moment(grid, values, n):
     return float(mass), float(mom)
 
 
+def initial_slope(prof: ConcaveProfile) -> float:
+    return (prof.values[1] - prof.values[0]) / (prof.grid[1] - prof.grid[0])
+
+
 class TestMuMoment:
     def test_affine_n2(self):
         p = ConcaveProfile(grid=(0.0, 1.0), values=(1.0, 0.0), n=2)
@@ -161,7 +165,7 @@ class TestClosedForms:
     def test_max_profile_respects_cap(self):
         spec = MomentSpec(M=2.0, m=-0.2, n=3)
         r = max_mu(spec)
-        assert r.profile.initial_slope() <= spec.m + 1e-9
+        assert initial_slope(r.profile) <= spec.m + 1e-9
         assert r.b <= -1.0 / spec.m + 1e-12
 
 
@@ -189,7 +193,8 @@ class TestBruteForce:
         bf = brute_force_extremals(spec, grid_size=80, trials=1500, seed=3)
         for prof in (bf.lo_profile, bf.hi_profile):
             assert moment(prof) == pytest.approx(spec.M, rel=1e-6)
-            assert prof.initial_slope() <= spec.m + 1e-6 * max(1, abs(spec.m))
+            assert initial_slope(prof) <= spec.m + 1e-6 * max(1, abs(spec.m))
+            assert all(type(x) is float for x in prof.grid + prof.values)
 
     def test_ordering_against_closed_forms(self):
         for n in (1, 2, 3):
@@ -257,6 +262,13 @@ class TestClaim4:
         assert rep.max_ratio.hex() == "0x1.5d8092ca784bfp+0"
         assert rep.affine_ratio.hex() == "0x1.5ed097b425eddp+0"
 
+    @pytest.mark.parametrize("n", [0, -1, 1.5, True])
+    def test_rejects_bad_exponent(self, n):
+        with pytest.raises(BadSpec, match="exponent n must be a positive integer"):
+            claim4_certificate(n, grid_size=64, trials=100, seed=1)
+        with pytest.raises(BadSpec, match="exponent n must be a positive integer"):
+            profile_cut_ratio([0.0, 1.0], [0.0, 1.0], n)
+
     def test_symmetric_profile_ratio_one(self):
         grid = np.linspace(0.0, 1.0, 33)
         values = 1.0 - (2.0 * grid - 1.0) ** 2 * 0  # flat
@@ -274,6 +286,15 @@ class TestClaim4:
         for alpha, beta in [(2.0, 1.0), (0.3, 4.0), (7.5, 0.25)]:
             scaled = profile_cut_ratio(beta * grid, alpha * values, 3)
             assert scaled == pytest.approx(base, rel=1e-12)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes numpy and Python allocated during it."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _bits(a) -> tuple:
@@ -311,13 +332,22 @@ class TestSegmentQuadBits:
         rows, cols = 15000, 64
         grid = np.linspace(0.0, 1.0, cols + 1)
         h = np.random.default_rng(7).uniform(0.0, 2.0, size=(rows, cols + 1))
-        tracemalloc.start()
-        try:
-            profiles._segment_quad(grid[:-1], grid[1:], h[:, :-1], h[:, 1:], 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced_peak(profiles._segment_quad, grid[:-1], grid[1:], h[:, :-1],
+                               h[:, 1:], 3)
         assert peak <= 2.5 * rows * cols * 8
+
+    def test_peak_memory_of_a_shape_batch(self):
+        """Each round of shapes is one array, filtered once; copying every
+        family and round peaked at about 4.8 batch arrays."""
+        batch, peak = _traced_peak(profiles._shape_batch, 64, 10000, 123)
+        assert peak <= 3.25 * batch.nbytes
+
+    def test_peak_memory_of_a_recentred_split(self):
+        """The right-hand masses are summed in place over the segment masses;
+        a reversed sum and its padded copy peaked at about 4.2 batch arrays."""
+        batch = profiles._shape_batch(64, 10000, 123)
+        _, peak = _traced_peak(profiles._recentred_split, np.linspace(0.0, 1.0, 65), batch, 3)
+        assert peak <= 2.6 * batch.nbytes
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_one_dimensional_and_scalar(self, n):
